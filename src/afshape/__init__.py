@@ -30,8 +30,6 @@ from .reformulation import (
     LoadingError,
     SplitPair,
     build_loaded_region,
-    choose_zeta,
-    eigenvalue_ranges,
     load_and_root,
     split_kernel,
 )
@@ -73,10 +71,8 @@ __all__ = [
     "build_bx",
     "build_shift",
     "build_uqp",
-    "choose_zeta",
     "compare",
     "doppler_phase_vector",
-    "eigenvalue_ranges",
     "eval_af",
     "eval_objective",
     "init_random_code",

@@ -177,10 +177,22 @@ def eval_af(x: CodeSequence, k: int, p: int) -> complex:
     return complex(np.sum(np.conj(values) * doppler_phase_vector(p, n) * rolled))
 
 
+def _lag_spectra(values: np.ndarray, lags) -> np.ndarray:
+    """One DFT per lag row of conj(x_i) x[(i + k) mod N], shape (len(lags), N).
+
+    Column p mod N of the row for lag k is r[k, p] times the unit phase
+    exp(2j pi p / N), so it carries |r[k, p]| exactly as r does.
+    """
+    gather = (np.arange(values.size) + np.asarray(lags)[:, None]) % values.size
+    return np.fft.fft(np.conj(values) * values[gather], axis=1)
+
+
 def eval_objective(x: CodeSequence, region: RegionSpec) -> float:
     """Suppression-region energy: sum over (k, p) in the region of |r[k, p]|^2."""
     region.validate_for(x.n)
-    return float(sum(abs(eval_af(x, k, p)) ** 2 for k, p in region.pairs()))
+    spectra = _lag_spectra(x.values, region.delays)
+    cells = spectra[:, np.mod(region.dopplers, x.n)]
+    return float(np.sum(cells.real ** 2 + cells.imag ** 2))
 
 
 def to_db(magnitude, mainlobe: float) -> np.ndarray:
@@ -223,20 +235,16 @@ def af_grid(x: CodeSequence) -> AFGrid:
     """Evaluate |r| on the full (2N-1) x N lag/Doppler grid.
 
     Doppler columns cover one full period: bins -N/2 .. N/2 - 1 for even N
-    and -(N-1)/2 .. (N-1)/2 for odd N. The dB view is normalized so the
-    mainlobe cell (lag 0, bin 0) sits at exactly 0 dB.
+    and -(N-1)/2 .. (N-1)/2 for odd N. Lags k and k - N are the same cyclic
+    row, so only the N distinct rows are transformed and then tiled. The
+    mainlobe cell (lag 0, bin 0) holds exactly N, which puts it at exactly
+    0 dB in the mainlobe-normalized dB view.
     """
     n = x.n
     lags = np.arange(-(n - 1), n)
     bins = np.arange(n) - n // 2
-    values = x.values
-    conj_values = np.conj(values)
-    rolled = {int(k): np.roll(values, -int(k)) for k in lags}
-    magnitude = np.empty((lags.size, bins.size))
-    for j, p in enumerate(bins):
-        weighted = conj_values * doppler_phase_vector(int(p), n)
-        for i, k in enumerate(lags):
-            magnitude[i, j] = abs(weighted @ rolled[int(k)])
+    magnitude = np.abs(_lag_spectra(x.values, np.arange(n)))[np.ix_(lags % n, bins % n)]
+    magnitude[n - 1, n // 2] = n
     return AFGrid(
         n=n,
         lags=lags,

@@ -26,13 +26,10 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .af_core import CodeSequence, RegionSpec, af_grid
 from .metrics import compare
-from .reformulation import LoadingError
-from .solver import SolverConfig, init_random_code, run
+from .solver import CONFIG_KEYS, SolverConfig, init_random_code, run
 
 logger = logging.getLogger("afshape")
 
@@ -41,8 +38,6 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-_CONFIG_KEYS = {"n", "k", "p", "gamma1", "gamma2", "epsilon", "seed",
-                "zeta_policy", "delta", "gamma_x_mode", "inner_epsilon"}
 _OUTPUT_NAMES = {
     "code": "code.csv",
     "af_grid": "af_grid.csv",
@@ -145,7 +140,7 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return data
@@ -167,9 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative stopping tolerance on the region energy (default 1e-6)")
     parser.add_argument("--seed", type=int,
                         help="RNG seed for the initial code (default: AFSHAPE_SEED, then 0)")
-    parser.add_argument("--zeta-policy", dest="zeta_policy", choices=("exact", "bound"),
-                        help="loading level policy (default exact)")
-    parser.add_argument("--delta", type=float, help="loading margin (default 0.01)")
+    parser.add_argument("--delta", type=float,
+                        help="loading margin; the loading level is 1 + delta (default 0.01)")
     parser.add_argument("--out", default="afshape_out",
                         help="output directory (default ./afshape_out)")
     parser.add_argument("--config", help="JSON config file; flags override file values")
@@ -208,8 +202,7 @@ def resolve_config(args: argparse.Namespace, env=None) -> SolverConfig:
     """Merge config file, flags, and environment into a SolverConfig."""
     env = os.environ if env is None else env
     merged = load_config_file(args.config) if args.config else {}
-    for name in ("n", "gamma1", "gamma2", "epsilon", "seed", "delta",
-                 "zeta_policy", "k", "p"):
+    for name in sorted(CONFIG_KEYS):  # every config key has a flag of the same name
         value = getattr(args, name)
         if value is not None:
             merged[name] = value
@@ -283,6 +276,8 @@ def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> RunMa
     paths = {name: outdir / fname for name, fname in _OUTPUT_NAMES.items()}
     if verbose:
         paths["trace_json"] = outdir / "trace.json"
+    else:
+        (outdir / "trace.json").unlink(missing_ok=True)  # left by an earlier verbose run
     written = []
     try:
         _write_code_csv(x_final, paths["code"])
@@ -338,7 +333,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"afshape: cannot write outputs: {exc}", file=sys.stderr)
         return 2
-    except (LoadingError, FloatingPointError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, RuntimeError) as exc:
         print(f"afshape: numerical failure: {exc}", file=sys.stderr)
         return 3
     print(f"final region energy {manifest.final_c:.6g}; region average suppressed by "

@@ -10,23 +10,39 @@ have eigenvalues in [-1, 1], and for any vector z
 
 with the two parenthesized quadratic forms real. Consequently
 |z^H A z|^2 = (z^H ar z)^2 + (z^H ai z)^2, which is what lets the quartic
-region objective be driven through quadratic pieces. Adding a loading
-level zeta strictly above the most negative eigenvalue found across a
-region makes ar + zeta*I and ai + zeta*I positive definite, and those
-loaded matrices admit unique Hermitian PSD square roots (computed by
-eigendecomposition, not Cholesky, so the root itself stays Hermitian).
+region objective be driven through quadratic pieces. Loading both halves
+with zeta = 1 + delta, the unitary spectral bound plus a margin, makes
+L = ar + zeta*I and ai + zeta*I positive definite for every kernel without
+looking at a single eigenvalue.
 
-All per-(k, p) loaded matrices and their roots are precomputed once per
-region: they are loop invariants of the solver.
+The paper writes each loaded matrix as the square of its Hermitian root R
+so that the objective becomes a sum of squared distances. The solve never
+needs R itself: its auxiliary update sets u = R x / ||R x||, so every
+product it forms is
+
+    R u = R R x / ||R x|| = L x / sqrt(x^H L x),
+
+and L x needs only A x = d_p * x[(i + k) mod N] and
+A^H x = conj(d_p)[(i - k) mod N] * x[(i - k) mod N]. For a unimodular x
+the quadratic forms are x^H (ar + zeta*I) x = zeta N + Re r[k, p] and
+x^H (ai + zeta*I) x = zeta N - Im r[k, p].
+
+build_loaded_region therefore precomputes, once per region, just those
+gather indices and Doppler diagonals plus the dense sum of all loaded
+matrices (the quadratic block of the solver's x-step). split_kernel and
+load_and_root still build the dense matrices and their roots by
+eigendecomposition: they are the slow reference the fast path is tested
+against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .af_core import AFKernel, RegionSpec, build_kernel
+from .af_core import AFKernel, RegionSpec, doppler_phase_vector
 
 
 class LoadingError(RuntimeError):
@@ -71,15 +87,20 @@ class LoadedPair:
 class LoadedRegion:
     """Everything precomputed for one (n, region) pair.
 
-    pairs maps (k, p) to its LoadedPair in region.pairs() order, and
-    quad_sum caches the region-wide sum of all loaded matrices (the
-    quadratic block reused by every outer iteration of the solver).
+    Row c of each (|R|, N) array belongs to the c-th (k, p) of
+    region.pairs(): A x = fwd_diag[c] * x[fwd_idx[c]] and
+    A^H x = bwd_diag[c] * x[bwd_idx[c]]. quad_sum caches the region-wide
+    sum of all loaded matrices, sum(ar + ai) + 2 |R| zeta I (the quadratic
+    block reused by every outer iteration of the solver).
     """
 
     n: int
     region: RegionSpec
     zeta: float
-    pairs: dict
+    fwd_idx: np.ndarray
+    bwd_idx: np.ndarray
+    fwd_diag: np.ndarray
+    bwd_diag: np.ndarray
     quad_sum: np.ndarray
 
 
@@ -88,32 +109,6 @@ def split_kernel(kernel: AFKernel) -> SplitPair:
     a = kernel.matrix
     ah = a.conj().T
     return SplitPair(k=kernel.k, p=kernel.p, ar=(a + ah) / 2.0, ai=0.5j * (a - ah))
-
-
-def choose_zeta(splits, delta: float = 0.01, policy: str = "exact") -> float:
-    """Loading level strictly above the most negative eigenvalue in a region.
-
-    policy="exact" scans the eigenvalues of every split matrix; a tighter
-    level keeps the downstream quadratic forms better conditioned.
-    policy="bound" skips the eigendecompositions entirely and uses the
-    unitary spectral bound (every eigenvalue lies in [-1, 1]), returning
-    1 + delta. Both policies clip from below at delta, so collections that
-    are already positive definite still get a small positive load.
-    """
-    if delta <= 0:
-        raise ValueError(f"loading margin delta must be > 0, got {delta}")
-    if policy == "bound":
-        return 1.0 + delta
-    if policy != "exact":
-        raise ValueError(f"unknown zeta policy {policy!r}")
-    splits = list(splits)
-    if not splits:
-        raise ValueError("cannot choose a loading level for an empty region")
-    min_eig = min(
-        min(float(np.linalg.eigvalsh(s.ar)[0]) for s in splits),
-        min(float(np.linalg.eigvalsh(s.ai)[0]) for s in splits),
-    )
-    return max(0.0, -min_eig) + delta
 
 
 def _hermitian_root(mat: np.ndarray, floor: float, k: int, p: int, part: str, zeta: float) -> np.ndarray:
@@ -143,31 +138,23 @@ def load_and_root(split: SplitPair, zeta: float) -> LoadedPair:
     )
 
 
-def build_loaded_region(n: int, region: RegionSpec, delta: float = 0.01,
-                        zeta_policy: str = "exact") -> LoadedRegion:
-    """Split, load, and root every kernel of the region; cache the sums."""
+def build_loaded_region(n: int, region: RegionSpec, delta: float = 0.01) -> LoadedRegion:
+    """Gather indices, Doppler diagonals and loaded-matrix sum of a region."""
+    delta = float(delta)
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"loading margin delta must be finite and > 0, got {delta}")
     region.validate_for(n)
-    splits = [split_kernel(build_kernel(k, p, n)) for k, p in region.pairs()]
-    zeta = choose_zeta(splits, delta=delta, policy=zeta_policy)
-    pairs = {}
-    quad_sum = np.zeros((n, n), dtype=complex)
-    for s in splits:
-        loaded = load_and_root(s, zeta)
-        pairs[(s.k, s.p)] = loaded
-        quad_sum += loaded.ar_loaded + loaded.ai_loaded
-    return LoadedRegion(n=n, region=region, zeta=zeta, pairs=pairs, quad_sum=quad_sum)
-
-
-def eigenvalue_ranges(splits) -> dict:
-    """JSON-serializable summary of per-(k, p) eigenvalue extremes (debug aid)."""
-    out = {}
-    for s in splits:
-        ar_eigs = np.linalg.eigvalsh(s.ar)
-        ai_eigs = np.linalg.eigvalsh(s.ai)
-        out[f"{s.k},{s.p}"] = {
-            "ar_min": float(ar_eigs[0]),
-            "ar_max": float(ar_eigs[-1]),
-            "ai_min": float(ai_eigs[0]),
-            "ai_max": float(ai_eigs[-1]),
-        }
-    return out
+    zeta = 1.0 + delta
+    cells = region.pairs()
+    rows = np.arange(n)
+    lags = np.array([k for k, _ in cells])[:, None]
+    fwd_idx = (rows + lags) % n
+    bwd_idx = (rows - lags) % n
+    fwd_diag = np.array([doppler_phase_vector(p, n) for _, p in cells])
+    bwd_diag = np.take_along_axis(fwd_diag.conj(), bwd_idx, axis=1)
+    # ar + ai = S + S^H with S = (1 + j) A / 2, and A holds d_p[i] at (i, (i + k) mod N)
+    half = np.zeros((n, n), dtype=complex)
+    np.add.at(half, (np.broadcast_to(rows, fwd_idx.shape), fwd_idx), 0.5 * (1 + 1j) * fwd_diag)
+    quad_sum = half + half.conj().T + 2.0 * len(cells) * zeta * np.eye(n)
+    return LoadedRegion(n=n, region=region, zeta=zeta, fwd_idx=fwd_idx, bwd_idx=bwd_idx,
+                        fwd_diag=fwd_diag, bwd_diag=bwd_diag, quad_sum=quad_sum)

@@ -9,20 +9,32 @@ which this module attacks through the separable surrogate
     M2(x, u) = sum_{(k,p)} ||Ar^{1/2} x - sqrt(zeta N) u^r_{k,p}||^2
                          + ||Ai^{1/2} x - sqrt(zeta N) u^i_{k,p}||^2
 
-built from the loaded Hermitian square roots (see reformulation) and one
+built from the loaded Hermitian matrices L (see reformulation) and one
 auxiliary unit vector per loaded matrix. Two blocks alternate:
 
-* u-step: for fixed x the minimizer is closed form,
-  u = root @ x / ||root @ x||, applied independently per (k, p).
+* u-step: for fixed x the minimizer is closed form, u = R x / ||R x||
+  with R = L^{1/2}. The solver only ever uses u through R u, and
+  R u = L x / sqrt(x^H L x), so the auxiliary set stores R u directly and
+  no square root of a matrix is taken.
 * x-step: for fixed u, M2 equals (up to an additive constant) the
-  quadratic form [x; 1]^H B [x; 1]. Subtracting B from gamma_x * I with
-  gamma_x at or above B's top eigenvalue flips the minimization into
-  maximizing a PSD quadratic form over unit-modulus entries, which the
-  power-method-like iteration  x <- exp(j arg(head of D [x; 1]))
-  improves monotonically. The trailing entry stays pinned at 1.
+  quadratic form [x; 1]^H B [x; 1], whose top-left block is the sum of all
+  loaded matrices and whose border is -sqrt(zeta N) sum R u. Subtracting B
+  from gamma_x * I, with gamma_x = ||B||_F at or above B's top eigenvalue,
+  flips the minimization into maximizing a PSD quadratic form over
+  unit-modulus entries, which the power-method-like iteration
+  x <- exp(j arg(head of D [x; 1])) (PMLI) improves monotonically. The
+  trailing entry stays pinned at 1.
 
-Each full cycle therefore never increases M2. The quartic C is evaluated
-once per outer iteration for the stopping rule
+Each full cycle therefore never increases M2. Expanding the squares with
+||u|| = 1 gives, per loaded matrix,
+
+    ||R x - sqrt(zeta N) u||^2 = x^H L x + zeta N - 2 sqrt(zeta N) Re(x^H R u),
+
+with x^H L x = zeta N + Re r[k, p] for the ar half and zeta N - Im r[k, p]
+for the ai half, so M2, the u-step and the border of B are whole-array
+operations over the (|R|, N) gather tables of the LoadedRegion.
+
+The quartic C is evaluated once per outer iteration for the stopping rule
 |C_t - C_{t-1}| <= epsilon * C_{t-1} and recorded, together with M2 and
 wall time, in a ConvergenceTrace. With an identical config and seed the
 solve is fully deterministic.
@@ -32,7 +44,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,10 +63,7 @@ class SolverConfig:
     gamma2: int = 500
     epsilon: float = 1e-6
     seed: int = 0
-    zeta_policy: str = "exact"
     delta: float = 0.01
-    gamma_x_mode: str = "frobenius"
-    inner_epsilon: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("n", "gamma1", "gamma2", "seed"):
@@ -68,20 +77,11 @@ class SolverConfig:
             raise ValueError(f"gamma1 must be >= 1, got {self.gamma1}")
         if self.gamma2 < 1:
             raise ValueError(f"gamma2 must be >= 1, got {self.gamma2}")
-        self.epsilon = float(self.epsilon)
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        self.delta = float(self.delta)
-        if self.delta <= 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
-        if self.zeta_policy not in ("exact", "bound"):
-            raise ValueError(f"zeta_policy must be 'exact' or 'bound', got {self.zeta_policy!r}")
-        if self.gamma_x_mode not in ("frobenius", "eigen"):
-            raise ValueError(f"gamma_x_mode must be 'frobenius' or 'eigen', got {self.gamma_x_mode!r}")
-        if self.inner_epsilon is not None:
-            self.inner_epsilon = float(self.inner_epsilon)
-            if self.inner_epsilon <= 0:
-                raise ValueError(f"inner_epsilon must be > 0 when set, got {self.inner_epsilon}")
+        for name in ("epsilon", "delta"):
+            value = float(getattr(self, name))
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            setattr(self, name, value)
         self.region.validate_for(self.n)
 
     def to_json_dict(self) -> dict:
@@ -93,35 +93,36 @@ class SolverConfig:
             "gamma2": self.gamma2,
             "epsilon": self.epsilon,
             "seed": self.seed,
-            "zeta_policy": self.zeta_policy,
             "delta": self.delta,
-            "gamma_x_mode": self.gamma_x_mode,
-            "inner_epsilon": self.inner_epsilon,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SolverConfig":
-        known = {"n", "k", "p", "gamma1", "gamma2", "epsilon", "seed",
-                 "zeta_policy", "delta", "gamma_x_mode", "inner_epsilon"}
-        unknown = set(data) - known
+        unknown = set(data) - CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for required in ("n", "k", "p"):
             if required not in data:
                 raise ValueError(f"missing required config key {required!r}")
         kwargs = {key: value for key, value in data.items() if key not in ("n", "k", "p")}
-        if kwargs.get("inner_epsilon", 0) is None:
-            kwargs.pop("inner_epsilon")
         region = RegionSpec(delays=tuple(data["k"]), dopplers=tuple(data["p"]))
         return cls(n=data["n"], region=region, **kwargs)
 
 
+# keys of a JSON config: the settable fields, with the region given as k and p
+CONFIG_KEYS = frozenset({f.name for f in fields(SolverConfig)} - {"region"} | {"k", "p"})
+
+
 @dataclass(eq=False)
 class AuxiliarySet:
-    """Auxiliary unit vectors, one pair per (k, p) of the region."""
+    """R u for every loaded matrix, one row per (k, p) in region.pairs() order.
 
-    u_r: dict
-    u_i: dict
+    ru_r[c] = R u^r and ru_i[c] = R u^i of the c-th cell, where u is the
+    auxiliary unit vector and R the Hermitian root of the loaded matrix.
+    """
+
+    ru_r: np.ndarray
+    ru_i: np.ndarray
 
 
 @dataclass(eq=False)
@@ -182,36 +183,47 @@ def init_random_code(n: int, seed: int) -> CodeSequence:
     return CodeSequence(phases=rng.uniform(0.0, 2.0 * np.pi, n))
 
 
+def _loaded_forms(values: np.ndarray, loaded: LoadedRegion):
+    """A x per cell and the quadratic forms x^H L x of both loaded halves.
+
+    Returns (A x as a (|R|, N) array, zeta N + Re r, zeta N - Im r), where
+    r = x^H A x; the forms use ||x||^2 = N, which holds for unimodular x.
+    """
+    ax = loaded.fwd_diag * values[loaded.fwd_idx]
+    r = ax @ values.conj()
+    zn = loaded.zeta * loaded.n
+    return ax, zn + r.real, zn - r.imag
+
+
 def update_aux(x: CodeSequence, loaded: LoadedRegion) -> AuxiliarySet:
     """Closed-form minimizers of M2 over the unit vectors, for fixed x.
 
-    u = root @ x / ||root @ x|| maximizes Re{x^H root u} over the unit
-    sphere, which is exactly the u-dependence of M2 with its sign flipped.
+    u = R x / ||R x|| maximizes Re{x^H R u} over the unit sphere, which is
+    exactly the u-dependence of M2 with its sign flipped; it is stored as
+    R u = L x / sqrt(x^H L x). Raises RuntimeError when some x^H L x is not
+    positive, i.e. the loading failed to make that matrix positive definite.
     """
     values = x.values
-    u_r = {}
-    u_i = {}
-    for key, pair in loaded.pairs.items():
-        vr = pair.ar_root @ values
-        vi = pair.ai_root @ values
-        nr = np.linalg.norm(vr)
-        ni = np.linalg.norm(vi)
-        # positive definiteness of the loaded matrices keeps both nonzero
-        assert nr > 0.0 and ni > 0.0
-        u_r[key] = vr / nr
-        u_i[key] = vi / ni
-    return AuxiliarySet(u_r=u_r, u_i=u_i)
+    ax, q_r, q_i = _loaded_forms(values, loaded)
+    if not (np.all(q_r > 0.0) and np.all(q_i > 0.0)):
+        raise RuntimeError(f"loaded matrices are not positive definite at this code: "
+                           f"min x^H L x = {min(q_r.min(), q_i.min()):.6e} "
+                           f"at loading level {loaded.zeta:.6e}")
+    ahx = loaded.bwd_diag * values[loaded.bwd_idx]
+    zx = loaded.zeta * values
+    l_r = 0.5 * (ax + ahx) + zx
+    l_i = 0.5j * (ax - ahx) + zx
+    return AuxiliarySet(ru_r=l_r / np.sqrt(q_r)[:, None], ru_i=l_i / np.sqrt(q_i)[:, None])
 
 
 def m2_objective(x: CodeSequence, aux: AuxiliarySet, loaded: LoadedRegion) -> float:
-    """Surrogate objective evaluated from its definition (sum of squared norms)."""
+    """Surrogate objective sum[x^H L x + zeta N - 2 sqrt(zeta N) Re(x^H R u)]."""
     values = x.values
-    scale = math.sqrt(loaded.zeta * loaded.n)
-    total = 0.0
-    for key, pair in loaded.pairs.items():
-        total += float(np.linalg.norm(pair.ar_root @ values - scale * aux.u_r[key]) ** 2)
-        total += float(np.linalg.norm(pair.ai_root @ values - scale * aux.u_i[key]) ** 2)
-    return total
+    _, q_r, q_i = _loaded_forms(values, loaded)
+    zn = loaded.zeta * loaded.n
+    ru_sum = aux.ru_r.sum(axis=0) + aux.ru_i.sum(axis=0)
+    cross = np.vdot(values, ru_sum).real
+    return float(q_r.sum() + q_i.sum() + 2 * q_r.size * zn - 2.0 * math.sqrt(zn) * cross)
 
 
 def build_bx(aux: AuxiliarySet, loaded: LoadedRegion) -> np.ndarray:
@@ -220,14 +232,10 @@ def build_bx(aux: AuxiliarySet, loaded: LoadedRegion) -> np.ndarray:
     The constant is 2 * region.size * zeta * N (from the unit norms of the
     auxiliary vectors and ||x||^2 = N). The top-left block is the cached
     region-wide sum of loaded matrices; the border carries the cross terms
-    against the auxiliary vectors.
+    -sqrt(zeta N) sum R u against the auxiliary vectors.
     """
     n = loaded.n
-    scale = math.sqrt(loaded.zeta * n)
-    linear = np.zeros(n, dtype=complex)
-    for key, pair in loaded.pairs.items():
-        linear += pair.ar_root @ aux.u_r[key] + pair.ai_root @ aux.u_i[key]
-    linear *= -scale
+    linear = -math.sqrt(loaded.zeta * n) * (aux.ru_r.sum(axis=0) + aux.ru_i.sum(axis=0))
     bx = np.zeros((n + 1, n + 1), dtype=complex)
     bx[:n, :n] = loaded.quad_sum
     bx[:n, n] = linear
@@ -235,27 +243,18 @@ def build_bx(aux: AuxiliarySet, loaded: LoadedRegion) -> np.ndarray:
     return bx
 
 
-def build_uqp(aux: AuxiliarySet, loaded: LoadedRegion,
-              gamma_x_mode: str = "frobenius") -> np.ndarray:
+def build_uqp(aux: AuxiliarySet, loaded: LoadedRegion) -> np.ndarray:
     """PSD matrix D = gamma_x * I - B whose UQP maximization is the x-step.
 
-    gamma_x_mode="frobenius" uses ||B||_F, a cheap upper bound on the top
-    eigenvalue of a Hermitian matrix; "eigen" computes the top eigenvalue
-    exactly and nudges it up by a relative 1e-12.
+    gamma_x = ||B||_F, a cheap upper bound on the top eigenvalue of the
+    Hermitian B.
     """
     bx = build_bx(aux, loaded)
-    if gamma_x_mode == "frobenius":
-        gamma_x = float(np.linalg.norm(bx))
-    elif gamma_x_mode == "eigen":
-        top = float(np.linalg.eigvalsh(bx)[-1])
-        gamma_x = top + 1e-12 * max(1.0, abs(top))
-    else:
-        raise ValueError(f"gamma_x_mode must be 'frobenius' or 'eigen', got {gamma_x_mode!r}")
-    return gamma_x * np.eye(bx.shape[0]) - bx
+    return float(np.linalg.norm(bx)) * np.eye(bx.shape[0]) - bx
 
 
 def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
-               inner_epsilon: float | None = None, track_objective: bool = False):
+               track_objective: bool = False):
     """Power-method-like iterations on the pinned-tail UQP.
 
     Repeats x <- exp(j arg(first N entries of D [x; 1])) for gamma2 steps;
@@ -264,10 +263,9 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
     that are exactly zero keep their previous phase, which leaves the
     objective unchanged and keeps runs deterministic.
 
-    When inner_epsilon is set, iteration stops early once the objective's
-    relative change drops to that level. With track_objective=True the
-    return value is (code, objectives) where objectives holds the UQP
-    objective of every visited iterate (at most gamma2 + 1 values).
+    With track_objective=True the return value is (code, objectives) where
+    objectives holds the UQP objective of every visited iterate
+    (gamma2 + 1 values).
     """
     d_mat = np.asarray(d_mat)
     n = x_start.n
@@ -276,23 +274,15 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
                          f"got {d_mat.shape}")
     if gamma2 < 1:
         raise ValueError(f"gamma2 must be >= 1, got {gamma2}")
-    track = track_objective or inner_epsilon is not None
     phases = x_start.phases.copy()
     xbar = np.empty(n + 1, dtype=complex)
     xbar[n] = 1.0
     objectives = []
-    stalled = False
     for _ in range(gamma2):
         xbar[:n] = np.exp(1j * phases)
         y = d_mat @ xbar
-        if track:
-            obj = float(np.real(np.vdot(xbar, y)))
-            if (objectives and inner_epsilon is not None
-                    and abs(obj - objectives[-1]) <= inner_epsilon * abs(objectives[-1])):
-                objectives.append(obj)
-                stalled = True
-                break
-            objectives.append(obj)
+        if track_objective:
+            objectives.append(float(np.real(np.vdot(xbar, y))))
         head = y[:n]
         new_phases = np.angle(head)
         zero = head == 0
@@ -301,9 +291,8 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
         phases = new_phases
     result = CodeSequence(phases=phases)
     if track_objective:
-        if not stalled:
-            xbar[:n] = np.exp(1j * phases)
-            objectives.append(float(np.real(np.vdot(xbar, d_mat @ xbar))))
+        xbar[:n] = np.exp(1j * phases)
+        objectives.append(float(np.real(np.vdot(xbar, d_mat @ xbar))))
         return result, np.asarray(objectives)
     return result
 
@@ -318,8 +307,7 @@ def run(config: SolverConfig, collect_inner: bool = False, on_outer=None):
     gamma1 outer iterations, whichever comes first. Pass on_outer to
     observe the SolverState after each outer iteration.
     """
-    loaded = build_loaded_region(config.n, config.region, delta=config.delta,
-                                 zeta_policy=config.zeta_policy)
+    loaded = build_loaded_region(config.n, config.region, delta=config.delta)
     x = init_random_code(config.n, config.seed)
     aux = update_aux(x, loaded)
     trace = ConvergenceTrace(inner_objectives=[] if collect_inner else None)
@@ -328,14 +316,12 @@ def run(config: SolverConfig, collect_inner: bool = False, on_outer=None):
     trace.record(0, c_prev, m2_objective(x, aux, loaded), 0.0)
     state = SolverState(x=x, aux=aux, loaded=loaded, trace=trace, outer_iter=0)
     for t in range(1, config.gamma1 + 1):
-        d_mat = build_uqp(aux, loaded, gamma_x_mode=config.gamma_x_mode)
+        d_mat = build_uqp(aux, loaded)
         inner = None
         if collect_inner:
-            x, inner = pmli_inner(d_mat, x, config.gamma2,
-                                  inner_epsilon=config.inner_epsilon,
-                                  track_objective=True)
+            x, inner = pmli_inner(d_mat, x, config.gamma2, track_objective=True)
         else:
-            x = pmli_inner(d_mat, x, config.gamma2, inner_epsilon=config.inner_epsilon)
+            x = pmli_inner(d_mat, x, config.gamma2)
         aux = update_aux(x, loaded)
         c_now = eval_objective(x, config.region)
         elapsed = (time.perf_counter() - start) * 1e3

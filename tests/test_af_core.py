@@ -200,6 +200,21 @@ def test_eval_objective_matches_per_bin_sum():
     assert eval_objective(x, region) == pytest.approx(expected, rel=1e-14)
 
 
+def test_eval_objective_matches_scalar_oracle():
+    rng = np.random.default_rng(41)
+    for n in (5, 8, 13):
+        half = (n + 1) // 2
+        for _ in range(5):
+            lags = np.delete(np.arange(1 - n, n), n - 1)  # lag 0 would admit the mainlobe
+            delays = tuple(int(k) for k in rng.choice(lags, size=3, replace=False))
+            dopplers = tuple(int(p) for p in rng.choice(np.arange(-half, half), size=2,
+                                                        replace=False))
+            region = RegionSpec(delays=delays, dopplers=dopplers)
+            x = CodeSequence(phases=rng.uniform(0, 2 * np.pi, n))
+            expected = sum(abs(af_sum_reference(x.values, k, p)) ** 2 for k, p in region.pairs())
+            assert eval_objective(x, region) == pytest.approx(expected, rel=1e-12)
+
+
 def test_eval_objective_validates_region_against_code():
     x = init_random_code(6, 0)
     region = RegionSpec(delays=(5, 6), dopplers=(1,))
@@ -226,18 +241,19 @@ def test_af_grid_shapes_and_axes():
 
 
 def test_af_grid_matches_eval_af():
-    n = 8
-    x = init_random_code(n, 4)
-    grid = af_grid(x)
-    for i, k in enumerate(grid.lags):
-        for j, p in enumerate(grid.bins):
-            assert abs(grid.magnitude[i, j] - abs(eval_af(x, int(k), int(p)))) < 1e-12
+    for n in (7, 8):
+        x = init_random_code(n, 4)
+        grid = af_grid(x)
+        for i, k in enumerate(grid.lags):
+            for j, p in enumerate(grid.bins):
+                assert abs(grid.magnitude[i, j] - abs(eval_af(x, int(k), int(p)))) < 1e-12
 
 
 def test_af_grid_mainlobe_cell_is_zero_db():
-    x = init_random_code(9, 1)
-    grid = af_grid(x)
-    assert grid.magnitude_db[x.n - 1, x.n // 2] == 0.0
+    for seed in range(20):
+        for n in range(2, 65):
+            grid = af_grid(init_random_code(n, seed))
+            assert grid.magnitude_db[n - 1, n // 2] == 0.0
 
 
 def test_af_grid_db_values_never_positive():

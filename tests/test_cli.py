@@ -24,8 +24,6 @@ def small_solver_config(**overrides):
     config, _ = parse_config(SMALL_ARGS, env={})
     data = config.to_json_dict()
     data.update(overrides)
-    if data.get("inner_epsilon") is None:
-        data.pop("inner_epsilon", None)
     return SolverConfig.from_json_dict(data)
 
 
@@ -57,7 +55,7 @@ def test_parse_config_reference_flags():
     assert config.region.dopplers == (-15, -14, -13, 11, 12, 13, 14)
     assert config.gamma1 == 1000 and config.gamma2 == 500
     assert config.epsilon == 1e-6 and config.seed == 0
-    assert config.zeta_policy == "exact" and config.delta == 0.01
+    assert config.delta == 0.01
     assert args.out == "afshape_out"
 
 
@@ -121,6 +119,20 @@ def test_missing_required_settings():
 def test_main_config_error_exit_2(capsys):
     assert main(["--n", "8", "--k", "0", "--p", "0"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_main_removed_config_key_exit_2(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"n": 8, "k": [1], "p": [2], "zeta_policy": "exact"}))
+    assert main(["--config", str(path), "--dry-run"]) == 2
+    assert "unknown config keys: ['zeta_policy']" in capsys.readouterr().err
+
+
+def test_main_non_finite_settings_exit_2(tmp_path, capsys):
+    for flag, value in (("--epsilon", "nan"), ("--delta", "inf")):
+        assert main(SMALL_ARGS + [flag, value, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_missing_n_exit_2(capsys):
@@ -207,6 +219,17 @@ def test_run_and_export_verbose_adds_inner_trace(tmp_path):
     payload = json.loads((out / "trace.json").read_text())
     assert payload["inner_objectives"] is not None
     assert len(payload["inner_objectives"]) == payload["outer_iter"][-1]
+
+
+def test_plain_run_removes_stale_inner_trace(tmp_path):
+    out = tmp_path / "results"
+    config = small_solver_config()
+    run_and_export(config, out, verbose=True)
+    assert (out / "trace.json").exists()
+    run_and_export(config, out)
+    assert not (out / "trace.json").exists()
+    manifest_data = json.loads((out / "manifest.json").read_text())
+    assert "trace_json" not in manifest_data["outputs"]
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -1,6 +1,6 @@
-"""Tests for Hermitian splitting, loading level selection, and matrix roots."""
+"""Tests for Hermitian splitting, the loading level, matrix roots, and region tables."""
 
-import json
+import math
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from afshape import (
     SplitPair,
     build_kernel,
     build_loaded_region,
-    choose_zeta,
-    eigenvalue_ranges,
     eval_objective,
     init_random_code,
     load_and_root,
@@ -78,34 +76,26 @@ def test_split_quadratic_forms_are_real():
     assert abs(quadratic_form(pair.ai, z).imag) < 1e-12
 
 
-# ----------------------------------------------------------- choose_zeta
+# ----------------------------------------------------------- loading level
 
-def test_choose_zeta_degenerate_identity_collection():
-    splits = [split_kernel(identity_kernel(4))]
-    assert choose_zeta(splits, delta=0.01) == pytest.approx(0.01)
-
-
-def test_choose_zeta_bound_policy():
-    assert choose_zeta([], delta=0.25, policy="bound") == pytest.approx(1.25)
-
-
-def test_choose_zeta_reference_region():
-    splits = [split_kernel(build_kernel(k, p, 31)) for k, p in REFERENCE_REGION.pairs()]
-    zeta = choose_zeta(splits, delta=0.01)
-    assert 1.0 < zeta <= 1.01
-    for s in splits:
-        assert np.linalg.eigvalsh(s.ar)[0] > -zeta
-        assert np.linalg.eigvalsh(s.ai)[0] > -zeta
+def test_loaded_region_zeta_is_unitary_bound():
+    # every eigenvalue of a split half lies in [-1, 1], so 1 + delta loads
+    # each half strictly positive definite
+    loaded = build_loaded_region(31, REFERENCE_REGION, delta=0.25)
+    assert loaded.zeta == 1.25
+    assert build_loaded_region(31, REFERENCE_REGION).zeta == pytest.approx(1.01)
+    for k, p in REFERENCE_REGION.pairs():
+        s = split_kernel(build_kernel(k, p, 31))
+        for half in (s.ar, s.ai):
+            eigs = np.linalg.eigvalsh(half)
+            assert -1.0 - 1e-12 <= eigs[0] and eigs[-1] <= 1.0 + 1e-12
 
 
-def test_choose_zeta_validation():
-    splits = [split_kernel(identity_kernel(4))]
-    with pytest.raises(ValueError):
-        choose_zeta(splits, delta=0.0)
-    with pytest.raises(ValueError):
-        choose_zeta(splits, policy="magic")
-    with pytest.raises(ValueError):
-        choose_zeta([], policy="exact")
+def test_build_loaded_region_rejects_bad_delta():
+    region = RegionSpec(delays=(1,), dopplers=(2,))
+    for delta in (0.0, -0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            build_loaded_region(8, region, delta=delta)
 
 
 # --------------------------------------------------------- load_and_root
@@ -145,13 +135,32 @@ def test_load_and_root_raises_on_indefinite():
 
 # ------------------------------------------------------- region assembly
 
+def reference_pairs(loaded):
+    """Dense loaded matrices and roots of every cell, by the slow construction."""
+    return [load_and_root(split_kernel(build_kernel(k, p, loaded.n)), loaded.zeta)
+            for k, p in loaded.region.pairs()]
+
+
 def test_build_loaded_region_caches_sums():
     region = RegionSpec(delays=(1, 2), dopplers=(-2, 3))
     loaded = build_loaded_region(8, region)
-    assert set(loaded.pairs) == set(region.pairs())
-    expected = sum(p.ar_loaded + p.ai_loaded for p in loaded.pairs.values())
+    expected = sum(p.ar_loaded + p.ai_loaded for p in reference_pairs(loaded))
     np.testing.assert_allclose(loaded.quad_sum, expected, atol=1e-13)
-    np.testing.assert_allclose(loaded.quad_sum, loaded.quad_sum.conj().T, atol=1e-13)
+    np.testing.assert_array_equal(loaded.quad_sum, loaded.quad_sum.conj().T)
+
+
+def test_loaded_region_tables_apply_each_kernel():
+    n = 9
+    region = RegionSpec(delays=(-4, 1, 8), dopplers=(-5, 0, 3))
+    loaded = build_loaded_region(n, region)
+    assert loaded.fwd_idx.shape == loaded.fwd_diag.shape == (region.size, n)
+    x = init_random_code(n, 3).values
+    for c, (k, p) in enumerate(region.pairs()):
+        a = build_kernel(k, p, n).matrix
+        np.testing.assert_allclose(loaded.fwd_diag[c] * x[loaded.fwd_idx[c]], a @ x,
+                                   atol=1e-14)
+        np.testing.assert_allclose(loaded.bwd_diag[c] * x[loaded.bwd_idx[c]],
+                                   a.conj().T @ x, atol=1e-14)
 
 
 def test_build_loaded_region_validates_region():
@@ -163,23 +172,15 @@ def test_quartic_chain_equivalence():
     # sum |x^H A x|^2 recomputed through the loaded matrices
     region = REFERENCE_REGION
     loaded = build_loaded_region(31, region)
+    pairs = reference_pairs(loaded)
     zn = loaded.zeta * 31
     for seed in range(5):
         x = init_random_code(31, seed)
         v = x.values
         chain = 0.0
-        for pair in loaded.pairs.values():
+        for pair in pairs:
             chain += (quadratic_form(pair.ar_loaded, v).real - zn) ** 2
             chain += (quadratic_form(pair.ai_loaded, v).real - zn) ** 2
         direct = eval_objective(x, region)
         assert abs(direct - chain) <= 1e-8 * direct
 
-
-def test_eigenvalue_ranges_serializable():
-    splits = [split_kernel(build_kernel(k, p, 8))
-              for k, p in RegionSpec(delays=(1,), dopplers=(2, -3)).pairs()]
-    ranges = json.loads(json.dumps(eigenvalue_ranges(splits)))
-    assert set(ranges) == {"1,-3", "1,2"}
-    for entry in ranges.values():
-        assert -1.0 - 1e-12 <= entry["ar_min"] <= entry["ar_max"] <= 1.0 + 1e-12
-        assert -1.0 - 1e-12 <= entry["ai_min"] <= entry["ai_max"] <= 1.0 + 1e-12

@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 
 from afshape import (
-    AuxiliarySet,
     CodeSequence,
-    LoadedPair,
     LoadedRegion,
     RegionSpec,
     SolverConfig,
     build_bx,
+    build_kernel,
     build_loaded_region,
     build_uqp,
     eval_objective,
     init_random_code,
+    load_and_root,
     m2_objective,
     pmli_inner,
     run,
+    split_kernel,
     update_aux,
 )
 from oracle import quadratic_form, random_psd
@@ -32,13 +33,30 @@ def small_config(**overrides):
 
 
 def identity_loaded_region(n):
-    """Degenerate region whose single pair has identity roots."""
+    """Degenerate region whose single kernel is A = I (so ar = I, ai = 0), zeta = 1."""
     region = RegionSpec(delays=(0,), dopplers=(1,))
-    eye = np.eye(n, dtype=complex)
-    pair = LoadedPair(k=0, p=1, zeta=1.0, ar_loaded=eye, ai_loaded=eye,
-                      ar_root=eye.copy(), ai_root=eye.copy())
-    return LoadedRegion(n=n, region=region, zeta=1.0,
-                        pairs={(0, 1): pair}, quad_sum=2.0 * eye)
+    rows = np.arange(n)[None, :]
+    ones = np.ones((1, n), dtype=complex)
+    return LoadedRegion(n=n, region=region, zeta=1.0, fwd_idx=rows, bwd_idx=rows,
+                        fwd_diag=ones, bwd_diag=ones, quad_sum=3.0 * np.eye(n))
+
+
+def reference_pairs(loaded):
+    """Dense loaded matrices and Hermitian roots of every cell, built the slow way."""
+    return [load_and_root(split_kernel(build_kernel(k, p, loaded.n)), loaded.zeta)
+            for k, p in loaded.region.pairs()]
+
+
+def reference_aux(x, pairs):
+    """R u with u = R x / ||R x||, per loaded matrix, from explicit roots."""
+    out = []
+    for root in ([p.ar_root for p in pairs], [p.ai_root for p in pairs]):
+        rows = []
+        for r in root:
+            rx = r @ x.values
+            rows.append(r @ (rx / np.linalg.norm(rx)))
+        out.append(np.array(rows))
+    return out
 
 
 # --------------------------------------------------------------- config
@@ -52,12 +70,11 @@ def test_config_validation():
         small_config(epsilon=0.0)
     with pytest.raises(ValueError):
         small_config(delta=-0.1)
-    with pytest.raises(ValueError):
-        small_config(zeta_policy="guess")
-    with pytest.raises(ValueError):
-        small_config(gamma_x_mode="exact")
-    with pytest.raises(ValueError):
-        small_config(inner_epsilon=0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            small_config(epsilon=bad)
+        with pytest.raises(ValueError):
+            small_config(delta=bad)
     with pytest.raises(ValueError):
         small_config(n=40, gamma1=2.5)
     # region must fit the code length
@@ -66,7 +83,7 @@ def test_config_validation():
 
 
 def test_config_json_round_trip():
-    config = small_config(epsilon=1e-5, seed=9, zeta_policy="bound")
+    config = small_config(epsilon=1e-5, seed=9, delta=0.02)
     clone = SolverConfig.from_json_dict(config.to_json_dict())
     assert clone == config
 
@@ -76,6 +93,9 @@ def test_config_from_json_rejects_unknown_and_missing():
         SolverConfig.from_json_dict({"n": 8, "k": [1], "p": [1], "bogus": 3})
     with pytest.raises(ValueError):
         SolverConfig.from_json_dict({"n": 8, "k": [1]})
+    for removed in ("zeta_policy", "gamma_x_mode", "inner_epsilon"):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            SolverConfig.from_json_dict({"n": 8, "k": [1], "p": [1], removed: None})
 
 
 # ------------------------------------------------------------ init/aux
@@ -89,38 +109,73 @@ def test_init_random_code_deterministic_and_unimodular():
 
 
 def test_update_aux_unit_norms():
+    # R u = L x / sqrt(x^H L x) must come from a unit u: ||R^{-1} R u|| = 1
     loaded = build_loaded_region(8, RegionSpec(delays=(1, 3), dopplers=(-2, 2)))
     aux = update_aux(init_random_code(8, 0), loaded)
-    for key in loaded.pairs:
-        assert np.linalg.norm(aux.u_r[key]) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(aux.u_i[key]) == pytest.approx(1.0, abs=1e-12)
+    for c, pair in enumerate(reference_pairs(loaded)):
+        assert np.linalg.norm(np.linalg.solve(pair.ar_root, aux.ru_r[c])) == pytest.approx(
+            1.0, abs=1e-12)
+        assert np.linalg.norm(np.linalg.solve(pair.ai_root, aux.ru_i[c])) == pytest.approx(
+            1.0, abs=1e-12)
 
 
 def test_update_aux_identity_roots_give_normalized_code():
+    # L_r = 2I and L_i = I, so u = x / sqrt(N) and R u = sqrt(2) u, u
     n = 6
     loaded = identity_loaded_region(n)
     x = init_random_code(n, 2)
     aux = update_aux(x, loaded)
-    np.testing.assert_allclose(aux.u_r[(0, 1)], x.values / np.sqrt(n), atol=1e-12)
-    np.testing.assert_allclose(aux.u_i[(0, 1)], x.values / np.sqrt(n), atol=1e-12)
+    np.testing.assert_allclose(aux.ru_r[0], np.sqrt(2.0) * x.values / np.sqrt(n), atol=1e-12)
+    np.testing.assert_allclose(aux.ru_i[0], x.values / np.sqrt(n), atol=1e-12)
 
 
 def test_update_aux_beats_random_unit_vectors():
-    # the closed form must minimize its M2 term over the unit sphere
+    # the closed form must minimize its M2 term over the unit sphere, i.e.
+    # maximize Re(x^H R u) = Re((R x)^H u)
     n = 6
     loaded = build_loaded_region(n, RegionSpec(delays=(1,), dopplers=(2,)))
-    pair = loaded.pairs[(1, 2)]
+    (pair,) = reference_pairs(loaded)
     x = init_random_code(n, 3)
-    scale = np.sqrt(loaded.zeta * n)
+    best = np.vdot(x.values, update_aux(x, loaded).ru_r[0]).real
     product = pair.ar_root @ x.values
-    best = product / np.linalg.norm(product)
-    best_term = np.linalg.norm(product - scale * best) ** 2
     rng = np.random.default_rng(17)
     for _ in range(200):
         cand = rng.normal(size=n) + 1j * rng.normal(size=n)
         cand /= np.linalg.norm(cand)
-        term = np.linalg.norm(product - scale * cand) ** 2
-        assert best_term <= term + 1e-12
+        assert np.vdot(product, cand).real <= best + 1e-12
+
+
+def test_update_aux_rejects_indefinite_loading():
+    loaded = build_loaded_region(8, RegionSpec(delays=(1, 3), dopplers=(-2, 2)))
+    loaded.zeta = -2.0  # x^H L x = zeta N +- (Re or Im r) < 0, since |r| <= N
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        update_aux(init_random_code(8, 0), loaded)
+
+
+def test_root_free_path_matches_root_reference():
+    # R u, M2 and the border of B against explicit Hermitian roots
+    rng = np.random.default_rng(53)
+    for n, region in ((8, RegionSpec(delays=(1, 2), dopplers=(-2, 3))),
+                      (13, RegionSpec(delays=(-6, 4), dopplers=(-7, 0, 5))),
+                      (16, SMALL_REGION)):
+        loaded = build_loaded_region(n, region)
+        pairs = reference_pairs(loaded)
+        scale = np.sqrt(loaded.zeta * n)
+        for _ in range(4):
+            x = CodeSequence(phases=rng.uniform(0, 2 * np.pi, n))
+            aux = update_aux(x, loaded)
+            ref_r, ref_i = reference_aux(x, pairs)
+            for got, want in ((aux.ru_r, ref_r), (aux.ru_i, ref_i)):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            ref_m2 = 0.0
+            for pair, ru_r, ru_i in zip(pairs, ref_r, ref_i):
+                for root, ru in ((pair.ar_root, ru_r), (pair.ai_root, ru_i)):
+                    rx = root @ x.values
+                    ref_m2 += np.linalg.norm(rx - scale * rx / np.linalg.norm(rx)) ** 2
+            assert abs(m2_objective(x, aux, loaded) - ref_m2) <= 1e-12 * ref_m2
+            border = build_bx(aux, loaded)[:n, n]
+            ref_border = -scale * (ref_r.sum(axis=0) + ref_i.sum(axis=0))
+            assert np.linalg.norm(border - ref_border) <= 1e-12 * np.linalg.norm(ref_border)
 
 
 # ----------------------------------------------------------- UQP build
@@ -128,15 +183,15 @@ def test_update_aux_beats_random_unit_vectors():
 def test_build_bx_structure():
     n = 8
     loaded = build_loaded_region(n, RegionSpec(delays=(1, 2), dopplers=(-2, 3)))
-    aux = update_aux(init_random_code(n, 4), loaded)
-    bx = build_bx(aux, loaded)
+    x = init_random_code(n, 4)
+    bx = build_bx(update_aux(x, loaded), loaded)
     assert bx.shape == (n + 1, n + 1)
     np.testing.assert_allclose(bx, bx.conj().T, atol=1e-13)
     np.testing.assert_allclose(bx[:n, :n], loaded.quad_sum, atol=1e-13)
     assert bx[n, n] == 0.0
     scale = np.sqrt(loaded.zeta * n)
-    expected = -scale * sum(p.ar_root @ aux.u_r[key] + p.ai_root @ aux.u_i[key]
-                            for key, p in loaded.pairs.items())
+    ref_r, ref_i = reference_aux(x, reference_pairs(loaded))
+    expected = -scale * (ref_r.sum(axis=0) + ref_i.sum(axis=0))
     np.testing.assert_allclose(bx[:n, n], expected, atol=1e-13)
 
 
@@ -153,16 +208,13 @@ def test_m2_equals_lifted_quadratic_plus_constant():
     assert abs(direct - via_form) <= 1e-9 * direct
 
 
-def test_build_uqp_is_psd_both_modes():
+def test_build_uqp_is_psd():
     loaded = build_loaded_region(8, SMALL_REGION)
     aux = update_aux(init_random_code(8, 6), loaded)
-    for mode in ("frobenius", "eigen"):
-        d_mat = build_uqp(aux, loaded, gamma_x_mode=mode)
-        np.testing.assert_allclose(d_mat, d_mat.conj().T, atol=1e-12)
-        floor = -1e-8 * np.linalg.norm(d_mat)
-        assert np.linalg.eigvalsh(d_mat)[0] >= floor
-    with pytest.raises(ValueError):
-        build_uqp(aux, loaded, gamma_x_mode="nope")
+    d_mat = build_uqp(aux, loaded)
+    np.testing.assert_allclose(d_mat, d_mat.conj().T, atol=1e-12)
+    floor = -1e-8 * np.linalg.norm(d_mat)
+    assert np.linalg.eigvalsh(d_mat)[0] >= floor
 
 
 # ----------------------------------------------------------------- PMLI
@@ -202,15 +254,6 @@ def test_pmli_objective_matches_direct_evaluation():
     assert objectives[-1] == pytest.approx(quadratic_form(d_mat, final).real, rel=1e-12)
 
 
-def test_pmli_inner_epsilon_stops_early():
-    rng = np.random.default_rng(31)
-    d_mat = random_psd(7, rng)
-    x = CodeSequence(phases=rng.uniform(0, 2 * np.pi, 6))
-    _, objectives = pmli_inner(d_mat, x, gamma2=500, inner_epsilon=1e-9,
-                               track_objective=True)
-    assert len(objectives) < 501
-
-
 def test_pmli_validates_inputs():
     x = init_random_code(5, 0)
     with pytest.raises(ValueError):
@@ -248,12 +291,15 @@ def test_run_quartic_chain_agrees_at_every_outer_iteration():
     # the trace's C, computed bin by bin, must match the loaded-matrix form
     config = small_config(gamma1=10)
     seen = []
+    pairs = []
 
     def check(state):
+        if not pairs:
+            pairs.extend(reference_pairs(state.loaded))
         v = state.x.values
         zn = state.loaded.zeta * config.n
         chain = 0.0
-        for pair in state.loaded.pairs.values():
+        for pair in pairs:
             chain += (quadratic_form(pair.ar_loaded, v).real - zn) ** 2
             chain += (quadratic_form(pair.ai_loaded, v).real - zn) ** 2
         direct = state.trace.c_values[-1]
@@ -262,6 +308,16 @@ def test_run_quartic_chain_agrees_at_every_outer_iteration():
 
     run(config, on_outer=check)
     assert seen == list(range(1, len(seen) + 1))
+
+
+def test_run_takes_no_eigendecomposition(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigendecomposition on the solve path")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    _, trace = run(small_config(gamma1=3, epsilon=1e-15))
+    assert trace.outer_iters[-1] == 3
 
 
 def test_run_respects_gamma1_cap():
