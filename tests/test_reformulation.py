@@ -1,5 +1,6 @@
 """Tests for Hermitian splitting, the loading level, matrix roots, and region tables."""
 
+import json
 import math
 
 import numpy as np
@@ -78,17 +79,39 @@ def test_split_quadratic_forms_are_real():
 
 # ----------------------------------------------------------- loading level
 
-def test_loaded_region_zeta_is_unitary_bound():
-    # every eigenvalue of a split half lies in [-1, 1], so 1 + delta loads
-    # each half strictly positive definite
-    loaded = build_loaded_region(31, REFERENCE_REGION, delta=0.25)
-    assert loaded.zeta == 1.25
-    assert build_loaded_region(31, REFERENCE_REGION).zeta == pytest.approx(1.01)
+def test_choose_zeta_bound_policy():
+    # the loading level is always the bound policy, zeta = 1 + delta
+    region = RegionSpec(delays=(1,), dopplers=(2,))
+    assert build_loaded_region(8, region, delta=0.25).zeta == pytest.approx(1.25)
+    assert build_loaded_region(8, region).zeta == pytest.approx(1.01)
+
+
+def test_choose_zeta_reference_region():
+    zeta = build_loaded_region(31, REFERENCE_REGION, delta=0.01).zeta
+    assert 1.0 < zeta <= 1.01
     for k, p in REFERENCE_REGION.pairs():
         s = split_kernel(build_kernel(k, p, 31))
-        for half in (s.ar, s.ai):
-            eigs = np.linalg.eigvalsh(half)
-            assert -1.0 - 1e-12 <= eigs[0] and eigs[-1] <= 1.0 + 1e-12
+        assert np.linalg.eigvalsh(s.ar)[0] > -zeta
+        assert np.linalg.eigvalsh(s.ai)[0] > -zeta
+
+
+def test_eigenvalue_ranges_serializable():
+    # every eigenvalue of a split half lies in [-1, 1], so 1 + delta loads
+    # each half strictly positive definite; the per-cell ranges dump to JSON
+    region = RegionSpec(delays=(1,), dopplers=(2, -3))
+    ranges = {}
+    for k, p in region.pairs():
+        s = split_kernel(build_kernel(k, p, 8))
+        ar, ai = np.linalg.eigvalsh(s.ar), np.linalg.eigvalsh(s.ai)
+        ranges[f"{k},{p}"] = {"ar_min": ar[0], "ar_max": ar[-1],
+                              "ai_min": ai[0], "ai_max": ai[-1]}
+    ranges = json.loads(json.dumps(ranges))
+    assert set(ranges) == {"1,-3", "1,2"}
+    zeta = build_loaded_region(8, region).zeta
+    for entry in ranges.values():
+        assert -1.0 - 1e-12 <= entry["ar_min"] <= entry["ar_max"] <= 1.0 + 1e-12
+        assert -1.0 - 1e-12 <= entry["ai_min"] <= entry["ai_max"] <= 1.0 + 1e-12
+        assert min(entry["ar_min"], entry["ai_min"]) > -zeta
 
 
 def test_build_loaded_region_rejects_bad_delta():
