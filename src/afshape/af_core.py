@@ -90,13 +90,25 @@ class RegionSpec:
         object.__setattr__(self, "dopplers", dopplers)
 
     def validate_for(self, n: int) -> None:
-        """Check every index against the ranges allowed for code length n."""
+        """Check every index against the ranges allowed for code length n.
+
+        Lags k and k - n, and Doppler bins p and p - n, address the same
+        cyclic cell of r, so indices that agree mod n are rejected: the
+        region energy would count that cell twice.
+        """
         if n < 2:
             raise ValueError(f"code length must be >= 2, got {n}")
         for k in self.delays:
             _check_lag(k, n)
         for p in self.dopplers:
             _check_doppler(p, n)
+        for name, indices in (("delay lags", self.delays), ("Doppler bins", self.dopplers)):
+            seen = {}
+            for i in indices:
+                first = seen.setdefault(i % n, i)
+                if first != i:
+                    raise ValueError(f"{name} {first} and {i} are the same cyclic cell "
+                                     f"for n={n}")
 
     def pairs(self) -> tuple:
         """All (k, p) pairs in a fixed (sorted) iteration order."""

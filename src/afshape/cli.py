@@ -7,7 +7,8 @@ A run writes six files into --out (plus trace.json when --verbose):
     af_grid_db.csv  the same grid in mainlobe-referenced dB
     trace.csv       outer_iter, C, m2_objective
     report.json     before/after region reports and the suppression figure
-    manifest.json   config echo, version, timestamps, file paths, headline numbers
+    manifest.json   config echo, version, timestamps, file paths, headline numbers,
+                    stop_reason ("epsilon" or "gamma1") and the final relative change of C
 
 Settings come from flags, from a JSON config file (--config), or both;
 flags win over file values, and AFSHAPE_SEED supplies the seed when
@@ -29,7 +30,7 @@ from pathlib import Path
 from . import __version__
 from .af_core import CodeSequence, RegionSpec, af_grid
 from .metrics import compare
-from .solver import CONFIG_KEYS, SolverConfig, init_random_code, run
+from .solver import CONFIG_KEYS, SolverConfig, run
 
 logger = logging.getLogger("afshape")
 
@@ -59,6 +60,8 @@ class RunManifest:
     outputs: dict
     final_c: float
     suppression_db: float
+    stop_reason: str
+    final_rel_change: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -69,12 +72,14 @@ class RunManifest:
             "outputs": dict(self.outputs),
             "final_c": self.final_c,
             "suppression_db": self.suppression_db,
+            "stop_reason": self.stop_reason,
+            "final_rel_change": self.final_rel_change,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunManifest":
         fields = {"config", "tool_version", "started", "finished", "outputs",
-                  "final_c", "suppression_db"}
+                  "final_c", "suppression_db", "stop_reason", "final_rel_change"}
         unknown = set(data) - fields
         if unknown:
             raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
@@ -157,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p", help="Doppler bins, e.g. '-15..-13,11..14'")
     parser.add_argument("--gamma1", type=int, help="max outer iterations (default 1000)")
     parser.add_argument("--gamma2", type=int,
-                        help="inner power-method iterations per outer step (default 500)")
+                        help="at most this many inner power-method steps per outer step; "
+                             "stops at an exact fixed point (default 500)")
     parser.add_argument("--epsilon", type=float,
                         help="relative stopping tolerance on the region energy (default 1e-6)")
     parser.add_argument("--seed", type=int,
@@ -269,9 +275,8 @@ def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> RunMa
                     config.gamma1, config.gamma2)
     x_final, trace = run(config, collect_inner=verbose,
                          on_outer=_log_outer if verbose else None)
-    x_initial = init_random_code(config.n, config.seed)
-    comparison = compare(x_initial, x_final, config.region)
     grid = af_grid(x_final)
+    comparison = compare(trace.initial_code, x_final, config.region, after_grid=grid)
 
     paths = {name: outdir / fname for name, fname in _OUTPUT_NAMES.items()}
     if verbose:
@@ -301,6 +306,8 @@ def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> RunMa
             outputs={name: str(path.resolve()) for name, path in paths.items()},
             final_c=trace.c_values[-1],
             suppression_db=comparison.suppression_db,
+            stop_reason=trace.stop_reason,
+            final_rel_change=trace.final_rel_change,
         )
         _write_json(paths["manifest"], manifest.to_json_dict())
         written.append(paths["manifest"])
@@ -309,8 +316,9 @@ def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> RunMa
             path.unlink(missing_ok=True)
         raise
     if verbose:
-        logger.info("finished after %d outer iterations: C=%.6e, suppression %.2f dB",
-                    trace.outer_iters[-1], trace.c_values[-1], comparison.suppression_db)
+        logger.info("finished after %d outer iterations (stop: %s): C=%.6e, "
+                    "suppression %.2f dB", trace.outer_iters[-1], trace.stop_reason,
+                    trace.c_values[-1], comparison.suppression_db)
     return manifest
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .af_core import (
     DB_FLOOR,
+    AFGrid,
     CodeSequence,
     RegionSpec,
     af_grid,
@@ -92,9 +93,14 @@ def region_levels_db(x: CodeSequence, region: RegionSpec) -> list:
 
 def report(x: CodeSequence, region: RegionSpec) -> RegionReport:
     """Evaluate one code: region energy, average/peak level, global peak."""
-    levels = [level for _, _, level in region_levels_db(x, region)]
-    grid = af_grid(x)
-    sidelobes = grid.magnitude_db.copy()
+    return _report(x, region, region_levels_db(x, region))
+
+
+def _report(x: CodeSequence, region: RegionSpec, bin_levels: list,
+            grid: AFGrid | None = None) -> RegionReport:
+    """report() from region_levels_db(x, region) and, if at hand, af_grid(x)."""
+    levels = [level for _, _, level in bin_levels]
+    sidelobes = (af_grid(x) if grid is None else grid).magnitude_db.copy()
     sidelobes[x.n - 1, x.n // 2] = DB_FLOOR  # mask the mainlobe cell
     return RegionReport(
         n=x.n,
@@ -107,14 +113,18 @@ def report(x: CodeSequence, region: RegionSpec) -> RegionReport:
     )
 
 
-def compare(before: CodeSequence, after: CodeSequence, region: RegionSpec) -> ComparisonReport:
-    """Compare two codes of the same length over one region."""
+def compare(before: CodeSequence, after: CodeSequence, region: RegionSpec,
+            after_grid: AFGrid | None = None) -> ComparisonReport:
+    """Compare two codes of the same length over one region.
+
+    Pass after_grid when af_grid(after) is already at hand.
+    """
     if before.n != after.n:
         raise ValueError(f"code lengths differ: {before.n} vs {after.n}")
-    report_before = report(before, region)
-    report_after = report(after, region)
     levels_before = region_levels_db(before, region)
     levels_after = region_levels_db(after, region)
+    report_before = _report(before, region, levels_before)
+    report_after = _report(after, region, levels_after, after_grid)
     bin_levels = [
         (k, p, level_b, level_a)
         for (k, p, level_b), (_, _, level_a) in zip(levels_before, levels_after)

@@ -36,8 +36,9 @@ operations over the (|R|, N) gather tables of the LoadedRegion.
 
 The quartic C is evaluated once per outer iteration for the stopping rule
 |C_t - C_{t-1}| <= epsilon * C_{t-1} and recorded, together with M2 and
-wall time, in a ConvergenceTrace. With an identical config and seed the
-solve is fully deterministic.
+wall time, in a ConvergenceTrace, which also records why the solve
+stopped. With an identical config and seed the solve is fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -132,6 +133,9 @@ class ConvergenceTrace:
     Row 0 describes the initial code (before any iteration). When the
     inner trace is collected, inner_objectives[i] holds the UQP objective
     values of outer iteration i + 1 (there is no inner block behind row 0).
+    A finished solve also records the code it started from, why it stopped
+    ("epsilon" when the relative change of C fell to epsilon, "gamma1" at
+    the outer-iteration cap) and that last relative change of C.
     """
 
     outer_iters: list = field(default_factory=list)
@@ -139,6 +143,9 @@ class ConvergenceTrace:
     m2_values: list = field(default_factory=list)
     elapsed_ms: list = field(default_factory=list)
     inner_objectives: list | None = None
+    initial_code: CodeSequence | None = None
+    stop_reason: str | None = None
+    final_rel_change: float | None = None
 
     def record(self, outer_iter: int, c_value: float, m2_value: float,
                elapsed: float, inner=None) -> None:
@@ -163,6 +170,8 @@ class ConvergenceTrace:
             "m2_objective": list(self.m2_values),
             "elapsed_ms": list(self.elapsed_ms),
             "inner_objectives": self.inner_objectives,
+            "stop_reason": self.stop_reason,
+            "final_rel_change": self.final_rel_change,
         }
 
 
@@ -257,15 +266,22 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
                track_objective: bool = False):
     """Power-method-like iterations on the pinned-tail UQP.
 
-    Repeats x <- exp(j arg(first N entries of D [x; 1])) for gamma2 steps;
-    the trailing entry of the lifted vector stays pinned at 1. For PSD D
-    the objective [x; 1]^H D [x; 1] never decreases. Entries of D [x; 1]
-    that are exactly zero keep their previous phase, which leaves the
-    objective unchanged and keeps runs deterministic.
+    Repeats x <- exp(j arg(first N entries of D [x; 1])) for at most gamma2
+    steps; stops at an exact fixed point. The trailing entry of the lifted
+    vector stays pinned at 1. For PSD D the objective [x; 1]^H D [x; 1]
+    never decreases. Entries of D [x; 1] that are exactly zero keep their
+    previous phase, which leaves the objective unchanged and keeps runs
+    deterministic.
+
+    A step whose new phases are bitwise equal to the current ones is a
+    fixed point: every later step would compute the same lifted vector and
+    the same phases again, so stopping there returns exactly the code that
+    gamma2 steps would. The test is on the bytes, because == takes -0.0 for
+    0.0 and never matches NaN.
 
     With track_objective=True the return value is (code, objectives) where
-    objectives holds the UQP objective of every visited iterate
-    (gamma2 + 1 values).
+    objectives holds the UQP objective of every iterate gamma2 steps would
+    visit (gamma2 + 1 values; after a fixed point they repeat the last one).
     """
     d_mat = np.asarray(d_mat)
     n = x_start.n
@@ -274,7 +290,7 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
                          f"got {d_mat.shape}")
     if gamma2 < 1:
         raise ValueError(f"gamma2 must be >= 1, got {gamma2}")
-    phases = x_start.phases.copy()
+    phases = x_start.phases
     xbar = np.empty(n + 1, dtype=complex)
     xbar[n] = 1.0
     objectives = []
@@ -284,15 +300,18 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
         if track_objective:
             objectives.append(float(np.real(np.vdot(xbar, y))))
         head = y[:n]
-        new_phases = np.angle(head)
-        zero = head == 0
-        if np.any(zero):
+        new_phases = np.arctan2(head.imag, head.real)  # np.angle(head), bit for bit
+        if np.count_nonzero(head) < n:
+            zero = head == 0
             new_phases[zero] = phases[zero]
+        if new_phases.tobytes() == phases.tobytes():
+            break
         phases = new_phases
     result = CodeSequence(phases=phases)
     if track_objective:
         xbar[:n] = np.exp(1j * phases)
         objectives.append(float(np.real(np.vdot(xbar, d_mat @ xbar))))
+        objectives += objectives[-1:] * (gamma2 + 1 - len(objectives))
         return result, np.asarray(objectives)
     return result
 
@@ -301,16 +320,18 @@ def run(config: SolverConfig, collect_inner: bool = False, on_outer=None):
     """Execute the full cyclic solve; returns (final code, trace).
 
     One outer iteration builds the UQP matrix from the current auxiliary
-    vectors, runs gamma2 inner power-method-like steps on the code, then
-    refreshes the auxiliary vectors at the new code. The loop stops when
-    the quartic objective's relative change falls to epsilon or after
-    gamma1 outer iterations, whichever comes first. Pass on_outer to
-    observe the SolverState after each outer iteration.
+    vectors, runs at most gamma2 inner power-method-like steps on the code
+    (stopping at an exact fixed point), then refreshes the auxiliary
+    vectors at the new code. The loop stops when the quartic objective's
+    relative change falls to epsilon or after gamma1 outer iterations,
+    whichever comes first; the trace records which one, the last relative
+    change and the initial code. Pass on_outer to observe the SolverState
+    after each outer iteration.
     """
     loaded = build_loaded_region(config.n, config.region, delta=config.delta)
     x = init_random_code(config.n, config.seed)
     aux = update_aux(x, loaded)
-    trace = ConvergenceTrace(inner_objectives=[] if collect_inner else None)
+    trace = ConvergenceTrace(inner_objectives=[] if collect_inner else None, initial_code=x)
     start = time.perf_counter()
     c_prev = eval_objective(x, config.region)
     trace.record(0, c_prev, m2_objective(x, aux, loaded), 0.0)
@@ -331,7 +352,13 @@ def run(config: SolverConfig, collect_inner: bool = False, on_outer=None):
         state.outer_iter = t
         if on_outer is not None:
             on_outer(state)
-        if abs(c_now - c_prev) <= config.epsilon * abs(c_prev):
+        change = abs(c_now - c_prev)
+        trace.final_rel_change = (change / abs(c_prev) if c_prev != 0
+                                  else 0.0 if change == 0 else math.inf)
+        if change <= config.epsilon * abs(c_prev):
+            trace.stop_reason = "epsilon"
             break
         c_prev = c_now
+    else:
+        trace.stop_reason = "gamma1"
     return x, trace

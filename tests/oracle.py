@@ -64,3 +64,42 @@ def exhaustive_uqp_optimum(d_mat, levels):
     objectives = np.einsum("ia,ab,ib->i", lifted.conj(), d_mat, lifted).real
     best = int(np.argmax(objectives))
     return combos[best], float(objectives[best])
+
+
+def pmli_inner_fixed_count(d_mat, x_start, gamma2, track_objective=False):
+    """Fixed-count PMLI: always gamma2 steps, with no fixed-point exit.
+
+    afshape.solver.pmli_inner must return the same bits: the same code and,
+    with track_objective=True, the same gamma2 + 1 objectives.
+    """
+    # imported here so the rest of the oracle loads without the package
+    from afshape import CodeSequence
+
+    d_mat = np.asarray(d_mat)
+    n = x_start.n
+    if d_mat.shape != (n + 1, n + 1):
+        raise ValueError(f"UQP matrix must be {(n + 1, n + 1)} for a length-{n} code, "
+                         f"got {d_mat.shape}")
+    if gamma2 < 1:
+        raise ValueError(f"gamma2 must be >= 1, got {gamma2}")
+    phases = x_start.phases.copy()
+    xbar = np.empty(n + 1, dtype=complex)
+    xbar[n] = 1.0
+    objectives = []
+    for _ in range(gamma2):
+        xbar[:n] = np.exp(1j * phases)
+        y = d_mat @ xbar
+        if track_objective:
+            objectives.append(float(np.real(np.vdot(xbar, y))))
+        head = y[:n]
+        new_phases = np.angle(head)
+        zero = head == 0
+        if np.any(zero):
+            new_phases[zero] = phases[zero]
+        phases = new_phases
+    result = CodeSequence(phases=phases)
+    if track_objective:
+        xbar[:n] = np.exp(1j * phases)
+        objectives.append(float(np.real(np.vdot(xbar, d_mat @ xbar))))
+        return result, np.asarray(objectives)
+    return result

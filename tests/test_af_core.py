@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from afshape import (
     DB_FLOOR,
@@ -87,6 +89,46 @@ def test_region_range_validation():
     RegionSpec(delays=(1,), dopplers=(-16,)).validate_for(31)
     with pytest.raises(ValueError):
         RegionSpec(delays=(1,), dopplers=(16,)).validate_for(31)
+
+
+def test_region_rejects_cyclic_aliases():
+    # for odd n, bin -(n+1)/2 is bin (n-1)/2; lags k and k - n are one cyclic row
+    with pytest.raises(ValueError, match="Doppler bins -16 and 15"):
+        RegionSpec(delays=(1,), dopplers=(-16, 15)).validate_for(31)
+    with pytest.raises(ValueError, match="delay lags -26 and 5"):
+        RegionSpec(delays=(-26, 5), dopplers=(3,)).validate_for(31)
+    # for even n both ends of the Doppler range are distinct cells
+    RegionSpec(delays=(1, -30), dopplers=(-16, 15)).validate_for(32)
+
+
+@st.composite
+def regions_in_range(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    half = (n + 1) // 2
+    delays = draw(st.lists(st.integers(-(n - 1), n - 1), min_size=1, max_size=4))
+    dopplers = draw(st.lists(st.integers(-half, half - 1), min_size=1, max_size=4))
+    assume(not (0 in delays and 0 in dopplers))
+    phases = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n))
+    return n, RegionSpec(delays=tuple(delays), dopplers=tuple(dopplers)), phases
+
+
+@settings(max_examples=200, deadline=None)
+@given(regions_in_range())
+def test_valid_regions_count_each_cyclic_cell_once(case):
+    n, region, phases = case
+    distinct = (len({k % n for k in region.delays}) == len(region.delays)
+                and len({p % n for p in region.dopplers}) == len(region.dopplers))
+    try:
+        region.validate_for(n)
+    except ValueError:
+        assert not distinct  # in-range indices fail only by aliasing
+        return
+    assert distinct
+    cells = {(k % n, p % n) for k, p in region.pairs()}
+    assert len(cells) == region.size
+    x = CodeSequence(phases=np.asarray(phases))
+    expected = sum(abs(af_sum_reference(x.values, k, p)) ** 2 for k, p in region.pairs())
+    assert eval_objective(x, region) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 # ------------------------------------------------------------- builders
@@ -203,11 +245,11 @@ def test_eval_objective_matches_per_bin_sum():
 def test_eval_objective_matches_scalar_oracle():
     rng = np.random.default_rng(41)
     for n in (5, 8, 13):
-        half = (n + 1) // 2
         for _ in range(5):
-            lags = np.delete(np.arange(1 - n, n), n - 1)  # lag 0 would admit the mainlobe
-            delays = tuple(int(k) for k in rng.choice(lags, size=3, replace=False))
-            dopplers = tuple(int(p) for p in rng.choice(np.arange(-half, half), size=2,
+            # distinct cyclic lags, each as k or its alias k - n; lag 0 would admit the mainlobe
+            residues = rng.choice(np.arange(1, n), size=3, replace=False)
+            delays = tuple(int(k - n * rng.integers(2)) for k in residues)
+            dopplers = tuple(int(p) for p in rng.choice(np.arange(n) - n // 2, size=2,
                                                         replace=False))
             region = RegionSpec(delays=delays, dopplers=dopplers)
             x = CodeSequence(phases=rng.uniform(0, 2 * np.pi, n))

@@ -135,6 +135,13 @@ def test_main_non_finite_settings_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_main_aliased_region_exit_2(tmp_path, capsys):
+    for flags in (["--k", "5,-26", "--p", "3"], ["--k", "5", "--p", "-16,15"]):
+        assert main(["--n", "31", *flags, "--out", str(tmp_path / "out")]) == 2
+        assert "same cyclic cell" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_missing_n_exit_2(capsys):
     assert main(["--k", "1", "--p", "2"]) == 2
     capsys.readouterr()
@@ -210,6 +217,8 @@ def test_run_and_export_artifacts(tmp_path):
     assert set(manifest_data["outputs"]) == {
         "code", "af_grid", "af_grid_db", "trace", "report", "manifest"}
     assert manifest_data["suppression_db"] == report["suppression_db"]
+    assert manifest_data["stop_reason"] == "gamma1"  # 10 outer steps, epsilon 1e-6
+    assert manifest_data["final_rel_change"] > config.epsilon
     assert manifest == RunManifest.from_json_dict(manifest_data)
 
 
@@ -219,6 +228,10 @@ def test_run_and_export_verbose_adds_inner_trace(tmp_path):
     payload = json.loads((out / "trace.json").read_text())
     assert payload["inner_objectives"] is not None
     assert len(payload["inner_objectives"]) == payload["outer_iter"][-1]
+    manifest_data = json.loads((out / "manifest.json").read_text())
+    for key in ("stop_reason", "final_rel_change"):
+        assert payload[key] == manifest_data[key]
+    assert "stop_reason" not in (out / "trace.csv").read_text()
 
 
 def test_plain_run_removes_stale_inner_trace(tmp_path):
@@ -243,8 +256,10 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_manifest_round_trip_is_lossless(tmp_path):
-    manifest = run_and_export(small_solver_config(), tmp_path / "out")
+    manifest = run_and_export(small_solver_config(epsilon=1.0), tmp_path / "out")
+    assert manifest.stop_reason == "epsilon"
     clone = RunManifest.from_json_dict(json.loads(json.dumps(manifest.to_json_dict())))
     assert clone == manifest
+    assert clone.final_rel_change == manifest.final_rel_change
     with pytest.raises(ValueError):
         RunManifest.from_json_dict({"config": {}, "bogus": 1})

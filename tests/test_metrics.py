@@ -9,6 +9,7 @@ from afshape import (
     CodeSequence,
     RegionSpec,
     SolverConfig,
+    af_grid,
     compare,
     eval_af,
     eval_objective,
@@ -17,6 +18,7 @@ from afshape import (
     report,
     run,
 )
+from afshape import metrics
 
 REGION = RegionSpec(delays=(1, 3), dopplers=(-2, 2))
 
@@ -77,6 +79,23 @@ def test_compare_same_code_is_zero():
     result = compare(x, x, REGION)
     assert result.suppression_db == 0.0
     assert all(b == a for _, _, b, a in result.bin_levels)
+
+
+def test_compare_reuses_a_given_after_grid(monkeypatch):
+    x0 = init_random_code(8, 1)
+    x1 = init_random_code(8, 2)
+    plain = compare(x0, x1, REGION)
+    grid = af_grid(x1)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return af_grid(x)
+
+    monkeypatch.setattr(metrics, "af_grid", counted)
+    reused = compare(x0, x1, REGION, after_grid=grid)
+    assert calls == [x0]
+    assert reused.to_json_dict() == plain.to_json_dict()
 
 
 def test_compare_rejects_mismatched_lengths():

@@ -21,7 +21,8 @@ from afshape import (
     split_kernel,
     update_aux,
 )
-from oracle import quadratic_form, random_psd
+from afshape import solver
+from oracle import pmli_inner_fixed_count, quadratic_form, random_psd
 
 SMALL_REGION = RegionSpec(delays=(1, 2), dopplers=(2, 3, -3))
 
@@ -254,6 +255,69 @@ def test_pmli_objective_matches_direct_evaluation():
     assert objectives[-1] == pytest.approx(quadratic_form(d_mat, final).real, rel=1e-12)
 
 
+@pytest.fixture
+def pmli_steps(monkeypatch):
+    """Counts the steps pmli_inner takes: each step calls np.arctan2 once."""
+
+    class CountingNumpy:
+        def __init__(self):
+            self.steps = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def arctan2(self, *args):
+            self.steps += 1
+            return np.arctan2(*args)
+
+    counter = CountingNumpy()
+    monkeypatch.setattr(solver, "np", counter)
+    return counter
+
+
+def test_pmli_zero_head_row_keeps_phase_and_still_stops(pmli_steps):
+    rng = np.random.default_rng(31)
+    n = 6
+    d_mat = random_psd(n + 1, rng, scale=3.0)
+    d_mat[2, :] = 0.0  # head entry 2 is exactly zero at every step
+    d_mat[:, 2] = 0.0  # (keeps D Hermitian PSD)
+    x = CodeSequence(phases=rng.uniform(0, 2 * np.pi, n))
+    gamma2 = 2000
+    result = pmli_inner(d_mat, x, gamma2)
+    assert 1 < pmli_steps.steps < gamma2
+    assert result.phases[2] == x.phases[2]
+    assert result.phases.tobytes() == pmli_inner_fixed_count(d_mat, x, gamma2).phases.tobytes()
+
+
+def test_pmli_tracked_early_stop_pads_objectives(pmli_steps):
+    rng = np.random.default_rng(37)
+    n = 7
+    d_mat = random_psd(n + 1, rng, scale=2.0)
+    x = CodeSequence(phases=rng.uniform(0, 2 * np.pi, n))
+    gamma2 = 1500
+    result, objectives = pmli_inner(d_mat, x, gamma2, track_objective=True)
+    steps = pmli_steps.steps
+    assert 1 < steps < gamma2
+    assert objectives.shape == (gamma2 + 1,)
+    assert np.all(objectives[steps - 1:] == objectives[-1])  # constant tail
+    ref_result, ref_objectives = pmli_inner_fixed_count(d_mat, x, gamma2, track_objective=True)
+    assert objectives.tobytes() == ref_objectives.tobytes()
+    assert result.phases.tobytes() == ref_result.phases.tobytes()
+
+
+def test_pmli_at_fixed_point_returns_after_one_step(pmli_steps):
+    rng = np.random.default_rng(43)
+    n = 9
+    d_mat = random_psd(n + 1, rng)
+    x = CodeSequence(phases=rng.uniform(0, 2 * np.pi, n))
+    start = pmli_inner_fixed_count(d_mat, x, 2000)  # the oracle's steps are not counted
+    assert pmli_inner_fixed_count(d_mat, start, 1).phases.tobytes() == start.phases.tobytes()
+    result = pmli_inner(d_mat, start, gamma2=500)
+    assert pmli_steps.steps == 1
+    assert result.phases.tobytes() == pmli_inner_fixed_count(d_mat, start, 500).phases.tobytes()
+    assert result.phases.tobytes() == start.phases.tobytes()
+
+
 def test_pmli_validates_inputs():
     x = init_random_code(5, 0)
     with pytest.raises(ValueError):
@@ -324,12 +388,25 @@ def test_run_respects_gamma1_cap():
     _, trace = run(small_config(gamma1=3, epsilon=1e-15))
     assert trace.outer_iters[-1] <= 3
     assert len(trace.c_values) == len(trace.outer_iters)
+    assert trace.stop_reason == "gamma1"
+    c = trace.c_values
+    assert trace.final_rel_change == abs(c[-1] - c[-2]) / c[-2]
+    assert trace.final_rel_change > 1e-15
 
 
 def test_run_stops_when_epsilon_fires():
     _, trace = run(small_config(gamma1=500, epsilon=1.0))
     # a relative tolerance of 100% is satisfied by the very first comparison
     assert trace.outer_iters[-1] == 1
+    assert trace.stop_reason == "epsilon"
+    assert trace.final_rel_change <= 1.0
+
+
+def test_run_returns_its_initial_code():
+    config = small_config(gamma1=2)
+    _, trace = run(config)
+    expected = init_random_code(config.n, config.seed)
+    assert trace.initial_code.phases.tobytes() == expected.phases.tobytes()
 
 
 def test_run_final_code_objective_matches_trace():
@@ -361,6 +438,8 @@ def test_trace_json_contains_timing_and_inner():
     _, trace = run(small_config(gamma1=3, epsilon=1e-15), collect_inner=True)
     payload = trace.to_json_dict()
     assert set(payload) == {"outer_iter", "C", "m2_objective", "elapsed_ms",
-                            "inner_objectives"}
+                            "inner_objectives", "stop_reason", "final_rel_change"}
+    assert payload["stop_reason"] == "gamma1"
+    assert payload["final_rel_change"] == trace.final_rel_change
     assert len(payload["elapsed_ms"]) == len(payload["C"])
     assert len(payload["inner_objectives"]) == payload["outer_iter"][-1]
