@@ -20,8 +20,8 @@ mainlobe at 0 dB; exact zeros are floored at -100 dB.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
@@ -199,9 +199,19 @@ def _lag_spectra(values: np.ndarray, lags) -> np.ndarray:
     return np.fft.fft(np.conj(values) * values[gather], axis=1)
 
 
+@lru_cache(maxsize=256)
+def _validate_region(region: RegionSpec, n: int) -> None:
+    """region.validate_for(n), run once per (region, n).
+
+    RegionSpec is frozen, so a pair that passed once always passes; a pair
+    that raises is not cached and raises again on every call.
+    """
+    region.validate_for(n)
+
+
 def eval_objective(x: CodeSequence, region: RegionSpec) -> float:
     """Suppression-region energy: sum over (k, p) in the region of |r[k, p]|^2."""
-    region.validate_for(x.n)
+    _validate_region(region, x.n)
     spectra = _lag_spectra(x.values, region.delays)
     cells = spectra[:, np.mod(region.dopplers, x.n)]
     return float(np.sum(cells.real ** 2 + cells.imag ** 2))
@@ -235,12 +245,24 @@ class AFGrid:
         }
 
     def to_csv(self, path, db: bool = False) -> None:
-        """Write the grid as CSV: lag column first, one column per Doppler bin."""
+        """Write the grid as CSV: lag column first, one column per Doppler bin.
+
+        Values carry 17 significant digits. The file is written one row at
+        a time, and a row whose bytes equal an earlier row's reuses that
+        row's formatted text, so the tiled grid of af_grid (lags k and k - N
+        are the same cyclic row) formats only its N distinct rows.
+        """
         grid = self.magnitude_db if db else self.magnitude
-        lines = ["lag," + ",".join(str(int(b)) for b in self.bins)]
-        for lag, row in zip(self.lags, grid):
-            lines.append(f"{int(lag)}," + ",".join(f"{v:.17g}" for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        row_format = ",%.17g" * grid.shape[1]
+        formatted = {}
+        with open(path, "w") as fh:
+            fh.write("lag," + ",".join(str(int(b)) for b in self.bins) + "\n")
+            for lag, row in zip(self.lags, grid):
+                key = row.tobytes()
+                text = formatted.get(key)
+                if text is None:
+                    text = formatted[key] = row_format % tuple(row.tolist())
+                fh.write(f"{int(lag)}{text}\n")
 
 
 def af_grid(x: CodeSequence) -> AFGrid:

@@ -283,21 +283,21 @@ def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> RunMa
         paths["trace_json"] = outdir / "trace.json"
     else:
         (outdir / "trace.json").unlink(missing_ok=True)  # left by an earlier verbose run
-    written = []
+    written = []  # each path is listed before its writer runs, so a partial file is removed too
     try:
-        _write_code_csv(x_final, paths["code"])
         written.append(paths["code"])
-        grid.to_csv(paths["af_grid"])
+        _write_code_csv(x_final, paths["code"])
         written.append(paths["af_grid"])
-        grid.to_csv(paths["af_grid_db"], db=True)
+        grid.to_csv(paths["af_grid"])
         written.append(paths["af_grid_db"])
-        trace.to_csv(paths["trace"])
+        grid.to_csv(paths["af_grid_db"], db=True)
         written.append(paths["trace"])
-        _write_json(paths["report"], comparison.to_json_dict())
+        trace.to_csv(paths["trace"])
         written.append(paths["report"])
+        _write_json(paths["report"], comparison.to_json_dict())
         if verbose:
-            _write_json(paths["trace_json"], trace.to_json_dict())
             written.append(paths["trace_json"])
+            trace.write_json(paths["trace_json"])
         manifest = RunManifest(
             config=config.to_json_dict(),
             tool_version=__version__,
@@ -309,8 +309,8 @@ def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> RunMa
             stop_reason=trace.stop_reason,
             final_rel_change=trace.final_rel_change,
         )
-        _write_json(paths["manifest"], manifest.to_json_dict())
         written.append(paths["manifest"])
+        _write_json(paths["manifest"], manifest.to_json_dict())
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)

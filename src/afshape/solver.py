@@ -43,6 +43,7 @@ deterministic.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -126,13 +127,23 @@ class AuxiliarySet:
     ru_i: np.ndarray
 
 
+def _indented_number_list(values: list, pad: str) -> str:
+    """json.dumps(values, indent=2) for a flat list of numbers nested at pad."""
+    if not values:
+        return "[]"
+    item_pad = pad + "  "
+    body = json.dumps(values)[1:-1].replace(", ", ",\n" + item_pad)
+    return f"[\n{item_pad}{body}\n{pad}]"
+
+
 @dataclass(eq=False)
 class ConvergenceTrace:
     """Per-outer-iteration record of one solve.
 
     Row 0 describes the initial code (before any iteration). When the
     inner trace is collected, inner_objectives[i] holds the UQP objective
-    values of outer iteration i + 1 (there is no inner block behind row 0).
+    values of outer iteration i + 1 as one float64 array (there is no inner
+    block behind row 0); to_json_dict turns the arrays into plain lists.
     A finished solve also records the code it started from, why it stopped
     ("epsilon" when the relative change of C fell to epsilon, "gamma1" at
     the outer-iteration cap) and that last relative change of C.
@@ -154,7 +165,7 @@ class ConvergenceTrace:
         self.m2_values.append(float(m2_value))
         self.elapsed_ms.append(float(elapsed))
         if self.inner_objectives is not None and inner is not None:
-            self.inner_objectives.append([float(v) for v in inner])
+            self.inner_objectives.append(np.array(inner, dtype=float))
 
     def to_csv(self, path) -> None:
         """Deterministic CSV: timing stays out so reruns are byte-identical."""
@@ -163,7 +174,8 @@ class ConvergenceTrace:
             lines.append(f"{t},{c:.17g},{m2:.17g}")
         Path(path).write_text("\n".join(lines) + "\n")
 
-    def to_json_dict(self) -> dict:
+    def _json_fields(self) -> dict:
+        """The fields of trace.json in order, inner blocks still as arrays."""
         return {
             "outer_iter": list(self.outer_iters),
             "C": list(self.c_values),
@@ -173,6 +185,39 @@ class ConvergenceTrace:
             "stop_reason": self.stop_reason,
             "final_rel_change": self.final_rel_change,
         }
+
+    def to_json_dict(self) -> dict:
+        payload = self._json_fields()
+        if self.inner_objectives is not None:
+            payload["inner_objectives"] = [block.tolist() for block in self.inner_objectives]
+        return payload
+
+    def write_json(self, path) -> None:
+        """Write json.dumps(self.to_json_dict(), indent=2) + "\n", byte for byte.
+
+        indent=2 selects json's pure-Python encoder, which is slow on the
+        inner trace (gamma2 + 1 floats per outer iteration). Here every flat
+        number list goes through the C encoder and is re-indented by
+        replacing its ", " separators (no number's text contains one), and
+        the inner blocks are encoded and written one at a time.
+        """
+        with open(path, "w") as fh:
+            sep = "{\n  "
+            for key, value in self._json_fields().items():
+                fh.write(f"{sep}{json.dumps(key)}: ")
+                sep = ",\n  "
+                if key == "inner_objectives" and value:
+                    fh.write("[")
+                    block_sep = "\n    "
+                    for block in value:
+                        fh.write(block_sep + _indented_number_list(block.tolist(), "    "))
+                        block_sep = ",\n    "
+                    fh.write("\n  ]")
+                elif isinstance(value, list):
+                    fh.write(_indented_number_list(value, "  "))
+                else:
+                    fh.write(json.dumps(value))
+            fh.write("\n}\n")
 
 
 @dataclass(eq=False)
@@ -298,7 +343,7 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
         xbar[:n] = np.exp(1j * phases)
         y = d_mat @ xbar
         if track_objective:
-            objectives.append(float(np.real(np.vdot(xbar, y))))
+            objectives.append(float(np.vdot(xbar, y).real))
         head = y[:n]
         new_phases = np.arctan2(head.imag, head.real)  # np.angle(head), bit for bit
         if np.count_nonzero(head) < n:
@@ -310,7 +355,7 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
     result = CodeSequence(phases=phases)
     if track_objective:
         xbar[:n] = np.exp(1j * phases)
-        objectives.append(float(np.real(np.vdot(xbar, d_mat @ xbar))))
+        objectives.append(float(np.vdot(xbar, d_mat @ xbar).real))
         objectives += objectives[-1:] * (gamma2 + 1 - len(objectives))
         return result, np.asarray(objectives)
     return result

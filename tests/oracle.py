@@ -6,6 +6,8 @@ vectorized paths inside the package.
 """
 
 import cmath
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -103,3 +105,24 @@ def pmli_inner_fixed_count(d_mat, x_start, gamma2, track_objective=False):
         objectives.append(float(np.real(np.vdot(xbar, d_mat @ xbar))))
         return result, np.asarray(objectives)
     return result
+
+
+def af_grid_to_csv(self, path, db=False):
+    """AFGrid.to_csv as first written: every value of every row through f"{v:.17g}".
+
+    The body is the method's, unchanged (self is the AFGrid), so the fast
+    writer in the package must produce the same bytes.
+    """
+    grid = self.magnitude_db if db else self.magnitude
+    lines = ["lag," + ",".join(str(int(b)) for b in self.bins)]
+    for lag, row in zip(self.lags, grid):
+        lines.append(f"{int(lag)}," + ",".join(f"{v:.17g}" for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def trace_to_json(trace, path):
+    """trace.json as first written: json.dumps(..., indent=2) of the whole trace.
+
+    ConvergenceTrace.write_json must produce the same bytes.
+    """
+    Path(path).write_text(json.dumps(trace.to_json_dict(), indent=2) + "\n")

@@ -14,6 +14,7 @@ from afshape.cli import (
     parse_index_set,
     run_and_export,
 )
+from afshape.af_core import AFGrid
 from afshape.solver import ConvergenceTrace, SolverConfig
 
 SMALL_ARGS = ["--n", "12", "--k", "1,2", "--p", "2,3", "--gamma1", "10",
@@ -183,6 +184,23 @@ def test_main_numerical_failure_removes_outputs(tmp_path, monkeypatch, capsys):
     assert main(SMALL_ARGS + ["--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
     assert list(out.iterdir()) == []  # partial outputs were removed
+
+
+@pytest.mark.parametrize("owner, writer, flags", [
+    (AFGrid, "to_csv", []),
+    (ConvergenceTrace, "write_json", ["--verbose"]),
+])
+def test_main_removes_half_written_output(owner, writer, flags, tmp_path, monkeypatch, capsys):
+    def write_then_fail(self, path, *args, **kwargs):
+        with open(path, "w") as fh:
+            fh.write("first line\n")
+        raise RuntimeError("disk went away mid-write")
+
+    monkeypatch.setattr(owner, writer, write_then_fail)
+    out = tmp_path / "results"
+    assert main(SMALL_ARGS + flags + ["--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------- file outputs
