@@ -34,7 +34,6 @@ from .reformulation import (
     split_kernel,
 )
 from .solver import (
-    AuxiliarySet,
     ConvergenceTrace,
     SolverConfig,
     SolverState,
@@ -52,7 +51,6 @@ __all__ = [
     "DB_FLOOR",
     "AFGrid",
     "AFKernel",
-    "AuxiliarySet",
     "CodeSequence",
     "ComparisonReport",
     "ConvergenceTrace",

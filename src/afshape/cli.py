@@ -23,7 +23,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -64,26 +64,15 @@ class RunManifest:
     final_rel_change: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": dict(self.config),
-            "tool_version": self.tool_version,
-            "started": self.started,
-            "finished": self.finished,
-            "outputs": dict(self.outputs),
-            "final_c": self.final_c,
-            "suppression_db": self.suppression_db,
-            "stop_reason": self.stop_reason,
-            "final_rel_change": self.final_rel_change,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunManifest":
-        fields = {"config", "tool_version", "started", "finished", "outputs",
-                  "final_c", "suppression_db", "stop_reason", "final_rel_change"}
-        unknown = set(data) - fields
+        names = [f.name for f in fields(cls)]
+        unknown = set(data) - set(names)
         if unknown:
             raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
-        return cls(**{name: data[name] for name in fields})
+        return cls(**{name: data[name] for name in names})
 
 
 def _parse_int(token: str, field_name: str) -> int:

@@ -10,7 +10,6 @@ excluded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -19,8 +18,8 @@ from .af_core import (
     AFGrid,
     CodeSequence,
     RegionSpec,
+    _lag_spectra,
     af_grid,
-    eval_af,
     eval_objective,
     to_db,
 )
@@ -74,21 +73,13 @@ class ComparisonReport:
             ],
         }
 
-    def write_csv(self, path) -> None:
-        lines = ["k,p,before_db,after_db"]
-        for k, p, before_db, after_db in self.bin_levels:
-            lines.append(f"{k},{p},{before_db:.17g},{after_db:.17g}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
 
 def region_levels_db(x: CodeSequence, region: RegionSpec) -> list:
     """Per-(k, p) levels 20*log10(|r|/N), in region.pairs() order."""
     region.validate_for(x.n)
-    mainlobe = float(x.n)
-    return [
-        (k, p, float(to_db(abs(eval_af(x, k, p)), mainlobe)))
-        for k, p in region.pairs()
-    ]
+    spectra = _lag_spectra(x.values, region.delays)
+    levels = to_db(np.abs(spectra[:, np.mod(region.dopplers, x.n)]), float(x.n))
+    return [(k, p, float(level)) for (k, p), level in zip(region.pairs(), levels.flat)]
 
 
 def report(x: CodeSequence, region: RegionSpec) -> RegionReport:

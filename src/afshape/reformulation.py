@@ -155,6 +155,7 @@ def build_loaded_region(n: int, region: RegionSpec, delta: float = 0.01) -> Load
     # ar + ai = S + S^H with S = (1 + j) A / 2, and A holds d_p[i] at (i, (i + k) mod N)
     half = np.zeros((n, n), dtype=complex)
     np.add.at(half, (np.broadcast_to(rows, fwd_idx.shape), fwd_idx), 0.5 * (1 + 1j) * fwd_diag)
-    quad_sum = half + half.conj().T + 2.0 * len(cells) * zeta * np.eye(n)
+    quad_sum = half + half.conj().T
+    quad_sum.flat[::n + 1] += 2.0 * len(cells) * zeta  # the loading, on the diagonal in place
     return LoadedRegion(n=n, region=region, zeta=zeta, fwd_idx=fwd_idx, bwd_idx=bwd_idx,
                         fwd_diag=fwd_diag, bwd_diag=bwd_diag, quad_sum=quad_sum)

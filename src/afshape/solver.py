@@ -13,12 +13,13 @@ built from the loaded Hermitian matrices L (see reformulation) and one
 auxiliary unit vector per loaded matrix. Two blocks alternate:
 
 * u-step: for fixed x the minimizer is closed form, u = R x / ||R x||
-  with R = L^{1/2}. The solver only ever uses u through R u, and
-  R u = L x / sqrt(x^H L x), so the auxiliary set stores R u directly and
-  no square root of a matrix is taken.
+  with R = L^{1/2}. The solver only ever uses u through the one vector
+  s = sum over the region of R u^r + R u^i, and
+  R u = L x / sqrt(x^H L x), so the u-step returns s directly and no
+  square root of a matrix is taken.
 * x-step: for fixed u, M2 equals (up to an additive constant) the
   quadratic form [x; 1]^H B [x; 1], whose top-left block is the sum of all
-  loaded matrices and whose border is -sqrt(zeta N) sum R u. Subtracting B
+  loaded matrices and whose border is -sqrt(zeta N) s. Subtracting B
   from gamma_x * I, with gamma_x = ||B||_F at or above B's top eigenvalue,
   flips the minimization into maximizing a PSD quadratic form over
   unit-modulus entries, which the power-method-like iteration
@@ -31,8 +32,13 @@ Each full cycle therefore never increases M2. Expanding the squares with
     ||R x - sqrt(zeta N) u||^2 = x^H L x + zeta N - 2 sqrt(zeta N) Re(x^H R u),
 
 with x^H L x = zeta N + Re r[k, p] for the ar half and zeta N - Im r[k, p]
-for the ai half, so M2, the u-step and the border of B are whole-array
-operations over the (|R|, N) gather tables of the LoadedRegion.
+for the ai half. The u-step is therefore one pass over the (|R|, N) gather
+tables of the LoadedRegion, and summing the terms gives
+
+    M2 = x^H Q x + 2 |R| zeta N - 2 sqrt(zeta N) Re(x^H s)
+
+with Q the cached sum of all loaded matrices, so M2 comes from B itself
+and needs no pass over the tables.
 
 The quartic C is evaluated once per outer iteration for the stopping rule
 |C_t - C_{t-1}| <= epsilon * C_{t-1} and recorded, together with M2 and
@@ -113,18 +119,6 @@ class SolverConfig:
 
 # keys of a JSON config: the settable fields, with the region given as k and p
 CONFIG_KEYS = frozenset({f.name for f in fields(SolverConfig)} - {"region"} | {"k", "p"})
-
-
-@dataclass(eq=False)
-class AuxiliarySet:
-    """R u for every loaded matrix, one row per (k, p) in region.pairs() order.
-
-    ru_r[c] = R u^r and ru_i[c] = R u^i of the c-th cell, where u is the
-    auxiliary unit vector and R the Hermitian root of the loaded matrix.
-    """
-
-    ru_r: np.ndarray
-    ru_i: np.ndarray
 
 
 def _indented_number_list(values: list, pad: str) -> str:
@@ -225,7 +219,7 @@ class SolverState:
     """Mutable view of one running solve, handed to the outer-step callback."""
 
     x: CodeSequence
-    aux: AuxiliarySet
+    aux: np.ndarray
     loaded: LoadedRegion
     trace: ConvergenceTrace
     outer_iter: int
@@ -237,59 +231,60 @@ def init_random_code(n: int, seed: int) -> CodeSequence:
     return CodeSequence(phases=rng.uniform(0.0, 2.0 * np.pi, n))
 
 
-def _loaded_forms(values: np.ndarray, loaded: LoadedRegion):
-    """A x per cell and the quadratic forms x^H L x of both loaded halves.
+def update_aux(x: CodeSequence, loaded: LoadedRegion) -> np.ndarray:
+    """Closed-form u-step for fixed x, returned as s = sum over cells of R u^r + R u^i.
 
-    Returns (A x as a (|R|, N) array, zeta N + Re r, zeta N - Im r), where
-    r = x^H A x; the forms use ||x||^2 = N, which holds for unimodular x.
-    """
-    ax = loaded.fwd_diag * values[loaded.fwd_idx]
-    r = ax @ values.conj()
-    zn = loaded.zeta * loaded.n
-    return ax, zn + r.real, zn - r.imag
-
-
-def update_aux(x: CodeSequence, loaded: LoadedRegion) -> AuxiliarySet:
-    """Closed-form minimizers of M2 over the unit vectors, for fixed x.
-
-    u = R x / ||R x|| maximizes Re{x^H R u} over the unit sphere, which is
-    exactly the u-dependence of M2 with its sign flipped; it is stored as
-    R u = L x / sqrt(x^H L x). Raises RuntimeError when some x^H L x is not
-    positive, i.e. the loading failed to make that matrix positive definite.
+    u = R x / ||R x|| maximizes Re{x^H R u} (the u-part of M2 with its sign
+    flipped) over the unit sphere, and R u = L x / sqrt(x^H L x), so s weights
+    each row of A x and A^H x by 1 / sqrt(x^H L x). Raises RuntimeError when
+    some x^H L x is not positive, i.e. the loading failed to make that matrix
+    positive definite.
     """
     values = x.values
-    ax, q_r, q_i = _loaded_forms(values, loaded)
+    ax = values[loaded.fwd_idx]
+    ahx = values[loaded.bwd_idx]
+    # in place, so the two gathers are the only (|R|, N) arrays built
+    np.multiply(loaded.fwd_diag, ax, out=ax)
+    np.multiply(loaded.bwd_diag, ahx, out=ahx)
+    r = ax @ values.conj()
+    # x^H L x of both loaded halves, using ||x||^2 = N for unimodular x
+    zn = loaded.zeta * loaded.n
+    q_r = zn + r.real
+    q_i = zn - r.imag
     if not (np.all(q_r > 0.0) and np.all(q_i > 0.0)):
         raise RuntimeError(f"loaded matrices are not positive definite at this code: "
                            f"min x^H L x = {min(q_r.min(), q_i.min()):.6e} "
                            f"at loading level {loaded.zeta:.6e}")
-    ahx = loaded.bwd_diag * values[loaded.bwd_idx]
-    zx = loaded.zeta * values
-    l_r = 0.5 * (ax + ahx) + zx
-    l_i = 0.5j * (ax - ahx) + zx
-    return AuxiliarySet(ru_r=l_r / np.sqrt(q_r)[:, None], ru_i=l_i / np.sqrt(q_i)[:, None])
+    w_r = 1.0 / np.sqrt(q_r)
+    w_i = 1.0 / np.sqrt(q_i)
+    # L_r x = (A x + A^H x) / 2 + zeta x and L_i x = j (A x - A^H x) / 2 + zeta x
+    return ((0.5 * w_r + 0.5j * w_i) @ ax + (0.5 * w_r - 0.5j * w_i) @ ahx
+            + loaded.zeta * (w_r.sum() + w_i.sum()) * values)
 
 
-def m2_objective(x: CodeSequence, aux: AuxiliarySet, loaded: LoadedRegion) -> float:
-    """Surrogate objective sum[x^H L x + zeta N - 2 sqrt(zeta N) Re(x^H R u)]."""
+def m2_objective(x: CodeSequence, aux: np.ndarray, loaded: LoadedRegion) -> float:
+    """Surrogate objective x^H quad_sum x + 2 |R| zeta N - 2 sqrt(zeta N) Re(x^H s).
+
+    This is [x; 1]^H B [x; 1] plus build_bx's constant, with aux = s the
+    summed auxiliary vector of update_aux.
+    """
     values = x.values
-    _, q_r, q_i = _loaded_forms(values, loaded)
     zn = loaded.zeta * loaded.n
-    ru_sum = aux.ru_r.sum(axis=0) + aux.ru_i.sum(axis=0)
-    cross = np.vdot(values, ru_sum).real
-    return float(q_r.sum() + q_i.sum() + 2 * q_r.size * zn - 2.0 * math.sqrt(zn) * cross)
+    quad = np.vdot(values, loaded.quad_sum @ values).real
+    cross = np.vdot(values, aux).real
+    return float(quad + 2 * loaded.region.size * zn - 2.0 * math.sqrt(zn) * cross)
 
 
-def build_bx(aux: AuxiliarySet, loaded: LoadedRegion) -> np.ndarray:
+def build_bx(aux: np.ndarray, loaded: LoadedRegion) -> np.ndarray:
     """Hermitian (N+1) x (N+1) form B with [x; 1]^H B [x; 1] = M2 - const.
 
     The constant is 2 * region.size * zeta * N (from the unit norms of the
     auxiliary vectors and ||x||^2 = N). The top-left block is the cached
-    region-wide sum of loaded matrices; the border carries the cross terms
-    -sqrt(zeta N) sum R u against the auxiliary vectors.
+    region-wide sum of loaded matrices; the border is -sqrt(zeta N) s, with
+    aux = s the summed auxiliary vector of update_aux.
     """
     n = loaded.n
-    linear = -math.sqrt(loaded.zeta * n) * (aux.ru_r.sum(axis=0) + aux.ru_i.sum(axis=0))
+    linear = -math.sqrt(loaded.zeta * n) * aux
     bx = np.zeros((n + 1, n + 1), dtype=complex)
     bx[:n, :n] = loaded.quad_sum
     bx[:n, n] = linear
@@ -297,7 +292,7 @@ def build_bx(aux: AuxiliarySet, loaded: LoadedRegion) -> np.ndarray:
     return bx
 
 
-def build_uqp(aux: AuxiliarySet, loaded: LoadedRegion) -> np.ndarray:
+def build_uqp(aux: np.ndarray, loaded: LoadedRegion) -> np.ndarray:
     """PSD matrix D = gamma_x * I - B whose UQP maximization is the x-step.
 
     gamma_x = ||B||_F, a cheap upper bound on the top eigenvalue of the

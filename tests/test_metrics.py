@@ -114,7 +114,7 @@ def test_compare_reports_positive_suppression_after_solve():
         result.before.region_avg_db - result.after.region_avg_db, abs=1e-12)
 
 
-def test_comparison_json_and_csv(tmp_path):
+def test_comparison_json():
     x0 = init_random_code(8, 1)
     x1 = init_random_code(8, 2)
     result = compare(x0, x1, REGION)
@@ -122,16 +122,6 @@ def test_comparison_json_and_csv(tmp_path):
     assert set(payload) == {"before", "after", "suppression_db", "bin_levels"}
     assert payload["before"]["region"] == {"k": [1, 3], "p": [-2, 2]}
     assert len(payload["bin_levels"]) == REGION.size
-
-    path = tmp_path / "levels.csv"
-    result.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,p,before_db,after_db"
-    assert len(lines) == 1 + REGION.size
-    k, p, before_db, after_db = lines[1].split(",")
-    assert (int(k), int(p)) == result.bin_levels[0][:2]
-    assert float(before_db) == pytest.approx(result.bin_levels[0][2], rel=1e-15)
-    assert float(after_db) == pytest.approx(result.bin_levels[0][3], rel=1e-15)
 
 
 def test_report_json_round_trip():

@@ -110,14 +110,16 @@ def test_init_random_code_deterministic_and_unimodular():
 
 
 def test_update_aux_unit_norms():
-    # R u = L x / sqrt(x^H L x) must come from a unit u: ||R^{-1} R u|| = 1
+    # Re(x^H R u) = Re((R x)^H u) <= ||R x|| for every unit u, with equality
+    # only at u = R x / ||R x||, so the sum over the cells reaches
+    # sum(||R_r x|| + ||R_i x||) only when every u is the unit maximizer
     loaded = build_loaded_region(8, RegionSpec(delays=(1, 3), dopplers=(-2, 2)))
-    aux = update_aux(init_random_code(8, 0), loaded)
-    for c, pair in enumerate(reference_pairs(loaded)):
-        assert np.linalg.norm(np.linalg.solve(pair.ar_root, aux.ru_r[c])) == pytest.approx(
-            1.0, abs=1e-12)
-        assert np.linalg.norm(np.linalg.solve(pair.ai_root, aux.ru_i[c])) == pytest.approx(
-            1.0, abs=1e-12)
+    x = init_random_code(8, 0)
+    s = update_aux(x, loaded)
+    assert s.shape == (8,)
+    bound = sum(np.linalg.norm(pair.ar_root @ x.values) + np.linalg.norm(pair.ai_root @ x.values)
+                for pair in reference_pairs(loaded))
+    assert np.vdot(x.values, s).real == pytest.approx(bound, abs=1e-12)
 
 
 def test_update_aux_identity_roots_give_normalized_code():
@@ -125,25 +127,25 @@ def test_update_aux_identity_roots_give_normalized_code():
     n = 6
     loaded = identity_loaded_region(n)
     x = init_random_code(n, 2)
-    aux = update_aux(x, loaded)
-    np.testing.assert_allclose(aux.ru_r[0], np.sqrt(2.0) * x.values / np.sqrt(n), atol=1e-12)
-    np.testing.assert_allclose(aux.ru_i[0], x.values / np.sqrt(n), atol=1e-12)
+    s = update_aux(x, loaded)
+    np.testing.assert_allclose(s, (np.sqrt(2.0) + 1.0) * x.values / np.sqrt(n), atol=1e-12)
 
 
 def test_update_aux_beats_random_unit_vectors():
-    # the closed form must minimize its M2 term over the unit sphere, i.e.
-    # maximize Re(x^H R u) = Re((R x)^H u)
+    # the closed form must minimize the u-terms of M2 over the unit sphere,
+    # i.e. maximize Re(x^H (R_r u^r + R_i u^i)) = Re((R_r x)^H u^r + (R_i x)^H u^i)
     n = 6
     loaded = build_loaded_region(n, RegionSpec(delays=(1,), dopplers=(2,)))
     (pair,) = reference_pairs(loaded)
     x = init_random_code(n, 3)
-    best = np.vdot(x.values, update_aux(x, loaded).ru_r[0]).real
-    product = pair.ar_root @ x.values
+    best = np.vdot(x.values, update_aux(x, loaded)).real
+    products = (pair.ar_root @ x.values, pair.ai_root @ x.values)
     rng = np.random.default_rng(17)
     for _ in range(200):
-        cand = rng.normal(size=n) + 1j * rng.normal(size=n)
-        cand /= np.linalg.norm(cand)
-        assert np.vdot(product, cand).real <= best + 1e-12
+        cands = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+        value = sum(np.vdot(product, cand).real for product, cand in zip(products, cands))
+        assert value <= best + 1e-12
 
 
 def test_update_aux_rejects_indefinite_loading():
@@ -154,7 +156,7 @@ def test_update_aux_rejects_indefinite_loading():
 
 
 def test_root_free_path_matches_root_reference():
-    # R u, M2 and the border of B against explicit Hermitian roots
+    # sum R u, M2 and the border of B against explicit Hermitian roots
     rng = np.random.default_rng(53)
     for n, region in ((8, RegionSpec(delays=(1, 2), dopplers=(-2, 3))),
                       (13, RegionSpec(delays=(-6, 4), dopplers=(-7, 0, 5))),
@@ -166,8 +168,8 @@ def test_root_free_path_matches_root_reference():
             x = CodeSequence(phases=rng.uniform(0, 2 * np.pi, n))
             aux = update_aux(x, loaded)
             ref_r, ref_i = reference_aux(x, pairs)
-            for got, want in ((aux.ru_r, ref_r), (aux.ru_i, ref_i)):
-                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            ref_s = ref_r.sum(axis=0) + ref_i.sum(axis=0)
+            assert np.linalg.norm(aux - ref_s) <= 1e-12 * np.linalg.norm(ref_s)
             ref_m2 = 0.0
             for pair, ru_r, ru_i in zip(pairs, ref_r, ref_i):
                 for root, ru in ((pair.ar_root, ru_r), (pair.ai_root, ru_i)):
@@ -175,7 +177,7 @@ def test_root_free_path_matches_root_reference():
                     ref_m2 += np.linalg.norm(rx - scale * rx / np.linalg.norm(rx)) ** 2
             assert abs(m2_objective(x, aux, loaded) - ref_m2) <= 1e-12 * ref_m2
             border = build_bx(aux, loaded)[:n, n]
-            ref_border = -scale * (ref_r.sum(axis=0) + ref_i.sum(axis=0))
+            ref_border = -scale * ref_s
             assert np.linalg.norm(border - ref_border) <= 1e-12 * np.linalg.norm(ref_border)
 
 
