@@ -20,11 +20,23 @@ auxiliary unit vector per loaded matrix. Two blocks alternate:
 * x-step: for fixed u, M2 equals (up to an additive constant) the
   quadratic form [x; 1]^H B [x; 1], whose top-left block is the sum of all
   loaded matrices and whose border is -sqrt(zeta N) s. Subtracting B
-  from gamma_x * I, with gamma_x = ||B||_F at or above B's top eigenvalue,
-  flips the minimization into maximizing a PSD quadratic form over
-  unit-modulus entries, which the power-method-like iteration
+  from gamma_x * I, with gamma_x at or above B's top eigenvalue, flips the
+  minimization into maximizing a PSD quadratic form over unit-modulus
+  entries, which the power-method-like iteration
   x <- exp(j arg(head of D [x; 1])) (PMLI) improves monotonically. The
   trailing entry stays pinned at 1.
+
+gamma_x comes from Weyl's inequality and needs no eigendecomposition. B is
+the block-diagonal diag(Q, 0), with Q the cached sum of loaded matrices,
+plus the border matrix [[0, b], [b^H, 0]], whose top eigenvalue is ||b||.
+Each cell adds ar + ai + 2 zeta I to Q, and ar + ai = S + S^H with
+S = (1 + j) A / 2 and ||S|| = 1/sqrt(2) (A is a unitary shift-and-modulate
+kernel), so lambda_max(Q) <= |R| (2 zeta + sqrt(2)) and
+
+    gamma_x = |R| (2 zeta + sqrt(2)) + sqrt(zeta N) ||s|| >= lambda_max(B).
+
+A smaller gamma_x than the Frobenius norm ||B||_F makes each PMLI step
+move further, so fewer steps reach the same fixed point.
 
 Each full cycle therefore never increases M2. Expanding the squares with
 ||u|| = 1 gives, per loaded matrix,
@@ -130,6 +142,27 @@ def _indented_number_list(values: list, pad: str) -> str:
     return f"[\n{item_pad}{body}\n{pad}]"
 
 
+def _indented_block(block: np.ndarray, pad: str) -> str:
+    """_indented_number_list(block.tolist(), pad) for a float64 inner block.
+
+    A block that stopped at a fixed point ends in a long run of one value,
+    which is formatted once and repeated. The run is found on the bits, so
+    -0.0 after 0.0 and NaN tails keep their own text.
+    """
+    bits = block.view(np.uint64)
+    if bits.size == 0:
+        return "[]"
+    differs = np.flatnonzero(bits != bits[-1])
+    start = int(differs[-1]) + 1 if differs.size else 0
+    text = _indented_number_list(block[:start + 1].tolist(), pad)
+    repeats = bits.size - 1 - start
+    if not repeats:
+        return text
+    close = len(pad) + 2  # "\n" + pad + "]"
+    item = ",\n" + pad + "  " + json.dumps(block[-1:].tolist())[1:-1]
+    return text[:-close] + item * repeats + text[-close:]
+
+
 @dataclass(eq=False)
 class ConvergenceTrace:
     """Per-outer-iteration record of one solve.
@@ -193,7 +226,8 @@ class ConvergenceTrace:
         inner trace (gamma2 + 1 floats per outer iteration). Here every flat
         number list goes through the C encoder and is re-indented by
         replacing its ", " separators (no number's text contains one), and
-        the inner blocks are encoded and written one at a time.
+        the inner blocks are encoded and written one at a time, each with
+        its trailing run of bitwise-equal values formatted once.
         """
         with open(path, "w") as fh:
             sep = "{\n  "
@@ -204,7 +238,7 @@ class ConvergenceTrace:
                     fh.write("[")
                     block_sep = "\n    "
                     for block in value:
-                        fh.write(block_sep + _indented_number_list(block.tolist(), "    "))
+                        fh.write(block_sep + _indented_block(block, "    "))
                         block_sep = ",\n    "
                     fh.write("\n  ]")
                 elif isinstance(value, list):
@@ -295,11 +329,19 @@ def build_bx(aux: np.ndarray, loaded: LoadedRegion) -> np.ndarray:
 def build_uqp(aux: np.ndarray, loaded: LoadedRegion) -> np.ndarray:
     """PSD matrix D = gamma_x * I - B whose UQP maximization is the x-step.
 
-    gamma_x = ||B||_F, a cheap upper bound on the top eigenvalue of the
-    Hermitian B.
+    gamma_x = |R| (2 zeta + sqrt(2)) + sqrt(zeta N) ||s|| is Weyl's bound
+    lambda_max(Q) + ||b|| on the top eigenvalue of the Hermitian B (see the
+    module docstring), with aux = s. D is build_bx's array negated in place
+    with gamma_x added to its diagonal, so no other (N+1)^2 array is built.
     """
-    bx = build_bx(aux, loaded)
-    return float(np.linalg.norm(bx)) * np.eye(bx.shape[0]) - bx
+    n = loaded.n
+    zeta = loaded.zeta
+    gamma_x = (loaded.region.size * (2.0 * zeta + math.sqrt(2.0))
+               + math.sqrt(zeta * n) * float(np.linalg.norm(aux)))
+    d_mat = build_bx(aux, loaded)
+    np.negative(d_mat, out=d_mat)
+    d_mat.flat[::n + 2] += gamma_x
+    return d_mat
 
 
 def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
@@ -322,6 +364,13 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
     With track_objective=True the return value is (code, objectives) where
     objectives holds the UQP objective of every iterate gamma2 steps would
     visit (gamma2 + 1 values; after a fixed point they repeat the last one).
+
+    At small N numpy's per-call overhead outweighs the arithmetic, so the
+    loop allocates nothing per step: the lifted vector, D [x; 1] and two
+    phase buffers are built once, each step writes cos and sin of the
+    phases into the real and imaginary parts of the lifted vector (the
+    bits of exp(j phases)), and the current and new phase buffers swap.
+    x_start's phases are copied first, so x_start is never written.
     """
     d_mat = np.asarray(d_mat)
     n = x_start.n
@@ -330,27 +379,36 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
                          f"got {d_mat.shape}")
     if gamma2 < 1:
         raise ValueError(f"gamma2 must be >= 1, got {gamma2}")
-    phases = x_start.phases
+    phases = x_start.phases.copy()
+    new_phases = np.empty(n)
     xbar = np.empty(n + 1, dtype=complex)
     xbar[n] = 1.0
+    cos_part = xbar.real[:n]
+    sin_part = xbar.imag[:n]
+    y = np.empty(n + 1, dtype=complex)
+    head = y[:n]
+    head_re = head.real
+    head_im = head.imag
     objectives = []
     for _ in range(gamma2):
-        xbar[:n] = np.exp(1j * phases)
-        y = d_mat @ xbar
+        np.cos(phases, out=cos_part)
+        np.sin(phases, out=sin_part)
+        np.dot(d_mat, xbar, out=y)
         if track_objective:
             objectives.append(float(np.vdot(xbar, y).real))
-        head = y[:n]
-        new_phases = np.arctan2(head.imag, head.real)  # np.angle(head), bit for bit
+        np.arctan2(head_im, head_re, out=new_phases)  # np.angle(head), bit for bit
         if np.count_nonzero(head) < n:
             zero = head == 0
             new_phases[zero] = phases[zero]
         if new_phases.tobytes() == phases.tobytes():
             break
-        phases = new_phases
+        phases, new_phases = new_phases, phases
     result = CodeSequence(phases=phases)
     if track_objective:
-        xbar[:n] = np.exp(1j * phases)
-        objectives.append(float(np.vdot(xbar, d_mat @ xbar).real))
+        np.cos(phases, out=cos_part)
+        np.sin(phases, out=sin_part)
+        np.dot(d_mat, xbar, out=y)
+        objectives.append(float(np.vdot(xbar, y).real))
         objectives += objectives[-1:] * (gamma2 + 1 - len(objectives))
         return result, np.asarray(objectives)
     return result

@@ -107,6 +107,18 @@ def pmli_inner_fixed_count(d_mat, x_start, gamma2, track_objective=False):
     return result
 
 
+def build_uqp_frobenius(aux, loaded):
+    """build_uqp with gamma_x = ||B||_F, the looser bound it first used.
+
+    Both bounds keep D PSD, so PMLI reaches the same fixed points; the
+    solve with the Weyl bound must stay within a stated tolerance of this.
+    """
+    from afshape.solver import build_bx
+
+    bx = build_bx(aux, loaded)
+    return float(np.linalg.norm(bx)) * np.eye(bx.shape[0]) - bx
+
+
 def af_grid_to_csv(self, path, db=False):
     """AFGrid.to_csv as first written: every value of every row through f"{v:.17g}".
 

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from afshape import (
     CodeSequence,
+    ConvergenceTrace,
     LoadedRegion,
     RegionSpec,
     SolverConfig,
@@ -22,9 +25,11 @@ from afshape import (
     update_aux,
 )
 from afshape import solver
-from oracle import pmli_inner_fixed_count, quadratic_form, random_psd
+from oracle import (build_uqp_frobenius, pmli_inner_fixed_count, quadratic_form, random_psd,
+                    trace_to_json)
 
 SMALL_REGION = RegionSpec(delays=(1, 2), dopplers=(2, 3, -3))
+REF_REGION = RegionSpec(delays=(5, 6, 7), dopplers=(-15, -14, -13, 11, 12, 13, 14))
 
 
 def small_config(**overrides):
@@ -211,13 +216,57 @@ def test_m2_equals_lifted_quadratic_plus_constant():
     assert abs(direct - via_form) <= 1e-9 * direct
 
 
-def test_build_uqp_is_psd():
+@st.composite
+def uqp_cases(draw):
+    """A code length, a valid region, a loading margin and a code seed."""
+    n = draw(st.integers(min_value=2, max_value=64))
+    half = (n + 1) // 2
+    delays = draw(st.lists(st.integers(-(n - 1), n - 1), min_size=1, max_size=6,
+                           unique_by=lambda k: k % n))
+    dopplers = draw(st.lists(st.integers(-half, half - 1), min_size=1, max_size=6,
+                             unique_by=lambda p: p % n))
+    assume(not (0 in delays and 0 in dopplers))  # the mainlobe is no valid cell
+    delta = draw(st.sampled_from([1e-3, 0.01, 0.5]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return n, RegionSpec(delays=tuple(delays), dopplers=tuple(dopplers)), delta, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(uqp_cases())
+def test_build_uqp_is_psd(case):
+    # gamma_x = |R| (2 zeta + sqrt 2) + sqrt(zeta N) ||s|| must sit at or above
+    # lambda_max(B) on every region, loading and code, or PMLI loses monotonicity
+    n, region, delta, seed = case
+    loaded = build_loaded_region(n, region, delta=delta)
+    d_mat = build_uqp(update_aux(init_random_code(n, seed), loaded), loaded)
+    assert np.array_equal(d_mat, d_mat.conj().T)
+    assert np.linalg.eigvalsh(d_mat)[0] >= -1e-10 * np.linalg.norm(d_mat)
+
+
+def test_build_uqp_is_gamma_x_minus_bx():
     loaded = build_loaded_region(8, SMALL_REGION)
     aux = update_aux(init_random_code(8, 6), loaded)
-    d_mat = build_uqp(aux, loaded)
-    np.testing.assert_allclose(d_mat, d_mat.conj().T, atol=1e-12)
-    floor = -1e-8 * np.linalg.norm(d_mat)
-    assert np.linalg.eigvalsh(d_mat)[0] >= floor
+    bx = build_bx(aux, loaded)
+    gamma_x = (SMALL_REGION.size * (2 * loaded.zeta + np.sqrt(2))
+               + np.sqrt(loaded.zeta * 8) * np.linalg.norm(aux))
+    np.testing.assert_allclose(build_uqp(aux, loaded), gamma_x * np.eye(9) - bx,
+                               rtol=0, atol=1e-13 * gamma_x)
+    assert gamma_x >= np.linalg.eigvalsh(bx)[-1]
+    assert gamma_x < np.linalg.norm(bx)  # tighter than the Frobenius bound it replaced
+
+
+def test_weyl_gamma_matches_frobenius_gamma_on_ref31(monkeypatch):
+    # both bounds keep D PSD and PMLI reaches the same fixed points, so the
+    # reference solve may move only by rounding: the stated tolerance
+    config = SolverConfig(n=31, region=REF_REGION, gamma1=1000, gamma2=500, seed=0)
+    _, trace = run(config)
+    monkeypatch.setattr(solver, "build_uqp", build_uqp_frobenius)
+    _, ref_trace = run(config)
+    assert trace.stop_reason == ref_trace.stop_reason
+    assert trace.outer_iters[-1] == ref_trace.outer_iters[-1]
+    c, ref_c = trace.c_values[-1], ref_trace.c_values[-1]
+    assert abs(c - ref_c) <= 1e-11 * ref_c
+    assert np.all(np.diff(trace.m2_values) <= 0.0)
 
 
 # ----------------------------------------------------------------- PMLI
@@ -268,9 +317,9 @@ def pmli_steps(monkeypatch):
         def __getattr__(self, name):
             return getattr(np, name)
 
-        def arctan2(self, *args):
+        def arctan2(self, *args, **kwargs):
             self.steps += 1
-            return np.arctan2(*args)
+            return np.arctan2(*args, **kwargs)
 
     counter = CountingNumpy()
     monkeypatch.setattr(solver, "np", counter)
@@ -318,6 +367,26 @@ def test_pmli_at_fixed_point_returns_after_one_step(pmli_steps):
     assert pmli_steps.steps == 1
     assert result.phases.tobytes() == pmli_inner_fixed_count(d_mat, start, 500).phases.tobytes()
     assert result.phases.tobytes() == start.phases.tobytes()
+
+
+@pytest.mark.parametrize("track_objective", [False, True])
+@pytest.mark.parametrize("at_fixed_point", [False, True])
+def test_pmli_leaves_start_phases_unchanged(track_objective, at_fixed_point):
+    # the loop writes its phase buffers in place and swaps them, so the start
+    # code must be copied first, also when the first step already stops
+    rng = np.random.default_rng(47)
+    n = 8
+    d_mat = random_psd(n + 1, rng, scale=2.0)
+    x = CodeSequence(phases=rng.uniform(0, 2 * np.pi, n))
+    if at_fixed_point:
+        x = pmli_inner_fixed_count(d_mat, x, 2000)
+        assert pmli_inner_fixed_count(d_mat, x, 1).phases.tobytes() == x.phases.tobytes()
+    before = x.phases.tobytes()
+    out = pmli_inner(d_mat, x, gamma2=300, track_objective=track_objective)
+    result = out[0] if track_objective else out
+    assert x.phases.tobytes() == before
+    assert not np.shares_memory(result.phases, x.phases)
+    assert (result.phases.tobytes() == before) == at_fixed_point
 
 
 def test_pmli_validates_inputs():
@@ -445,3 +514,19 @@ def test_trace_json_contains_timing_and_inner():
     assert payload["final_rel_change"] == trace.final_rel_change
     assert len(payload["elapsed_ms"]) == len(payload["C"])
     assert len(payload["inner_objectives"]) == payload["outer_iter"][-1]
+
+
+@pytest.mark.parametrize("blocks", [
+    [[2.0, 2.0, 2.0, 2.0], [7.5], [-1.0, -1.0]],
+    [[1.0, -0.0, -0.0, 0.0, 0.0, 0.0], [0.0, -0.0], [-0.0, 0.0]],
+    [[4.0, np.nan, np.nan, np.nan], [np.nan, 1.0, np.inf, np.inf], [np.nan, np.nan]],
+], ids=["one-value", "zero-after-negative-zero", "nan-tail"])
+def test_trace_json_repeated_tails_match_reference(blocks, tmp_path):
+    # write_json formats each block's trailing run of bitwise-equal values once;
+    # the bytes must stay those of json.dumps(indent=2)
+    trace = ConvergenceTrace(inner_objectives=[])
+    for t, inner in enumerate([None] + blocks):
+        trace.record(t, 1.0 / (t + 1), 2.0 / (t + 1), 0.5 * t, inner)
+    trace.write_json(tmp_path / "new.json")
+    trace_to_json(trace, tmp_path / "ref.json")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
