@@ -293,7 +293,7 @@ def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> RunMa
             started=started,
             finished=_utc_now(),
             outputs={name: str(path.resolve()) for name, path in paths.items()},
-            final_c=trace.c_values[-1],
+            final_c=comparison.after.region_energy,
             suppression_db=comparison.suppression_db,
             stop_reason=trace.stop_reason,
             final_rel_change=trace.final_rel_change,

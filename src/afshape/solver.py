@@ -18,25 +18,34 @@ auxiliary unit vector per loaded matrix. Two blocks alternate:
   R u = L x / sqrt(x^H L x), so the u-step returns s directly and no
   square root of a matrix is taken.
 * x-step: for fixed u, M2 equals (up to an additive constant) the
-  quadratic form [x; 1]^H B [x; 1], whose top-left block is the sum of all
-  loaded matrices and whose border is -sqrt(zeta N) s. Subtracting B
-  from gamma_x * I, with gamma_x at or above B's top eigenvalue, flips the
-  minimization into maximizing a PSD quadratic form over unit-modulus
+  quadratic form [x; 1]^H B [x; 1], whose top-left block Q is the sum of
+  all loaded matrices and whose border is -sqrt(zeta N) s. Subtracting B
+  from gamma_x * I, with gamma_x at or above Q's top eigenvalue, flips the
+  minimization into maximizing [x; 1]^H D [x; 1] over unit-modulus
   entries, which the power-method-like iteration
   x <- exp(j arg(head of D [x; 1])) (PMLI) improves monotonically. The
   trailing entry stays pinned at 1.
 
-gamma_x comes from Weyl's inequality and needs no eigendecomposition. B is
-the block-diagonal diag(Q, 0), with Q the cached sum of loaded matrices,
-plus the border matrix [[0, b], [b^H, 0]], whose top eigenvalue is ||b||.
-Each cell adds ar + ai + 2 zeta I to Q, and ar + ai = S + S^H with
+PMLI needs only D's leading N x N block D11 = gamma_x I - Q to be PSD, not
+all of D. With h = head of D [x_k; 1], the objective rises by
+
+    f(x_{k+1}) - f(x_k) = d^H D d + 2 Re(d^H D [x_k; 1]),   d = [x_{k+1} - x_k; 0],
+
+because the lifted vectors differ only in their head. The trailing entry of
+d is 0, so d^H D d = d_head^H D11 d_head >= 0, and Re(d^H D [x_k; 1]) =
+Re(x_{k+1}^H h) - Re(x_k^H h) >= 0 because x_{k+1} = exp(j arg h)
+maximizes Re(x^H h) over unit-modulus x, whatever gamma_x is.
+
+gamma_x comes from Weyl's inequality and needs no eigendecomposition. Each
+cell adds ar + ai + 2 zeta I to Q, and ar + ai = S + S^H with
 S = (1 + j) A / 2 and ||S|| = 1/sqrt(2) (A is a unitary shift-and-modulate
-kernel), so lambda_max(Q) <= |R| (2 zeta + sqrt(2)) and
+kernel), so
 
-    gamma_x = |R| (2 zeta + sqrt(2)) + sqrt(zeta N) ||s|| >= lambda_max(B).
+    gamma_x = |R| (2 zeta + sqrt(2)) >= lambda_max(Q).
 
-A smaller gamma_x than the Frobenius norm ||B||_F makes each PMLI step
-move further, so fewer steps reach the same fixed point.
+The full D is in general not PSD with this gamma_x (it ignores the
+border), and need not be. A smaller gamma_x makes each PMLI step move
+further, so fewer steps reach a fixed point.
 
 Each full cycle therefore never increases M2. Expanding the squares with
 ||u|| = 1 gives, per loaded matrix,
@@ -52,10 +61,11 @@ tables of the LoadedRegion, and summing the terms gives
 with Q the cached sum of all loaded matrices, so M2 comes from B itself
 and needs no pass over the tables.
 
-The quartic C is evaluated once per outer iteration for the stopping rule
-|C_t - C_{t-1}| <= epsilon * C_{t-1} and recorded, together with M2 and
-wall time, in a ConvergenceTrace, which also records why the solve
-stopped. With an identical config and seed the solve is fully
+The same pass yields the quartic C = sum |r[k, p]|^2, so the u-step also
+returns C at the new code. C is used once per outer iteration for the
+stopping rule |C_t - C_{t-1}| <= epsilon * C_{t-1} and recorded, together
+with M2 and wall time, in a ConvergenceTrace, which also records why the
+solve stopped. With an identical config and seed the solve is fully
 deterministic.
 """
 
@@ -69,7 +79,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .af_core import CodeSequence, RegionSpec, eval_objective
+# eval_objective is not called here; it stays importable from this module
+# because perfbench/tracer.py wraps afshape.solver.eval_objective
+from .af_core import CodeSequence, RegionSpec, eval_objective  # noqa: F401
 from .reformulation import LoadedRegion, build_loaded_region
 
 
@@ -265,14 +277,15 @@ def init_random_code(n: int, seed: int) -> CodeSequence:
     return CodeSequence(phases=rng.uniform(0.0, 2.0 * np.pi, n))
 
 
-def update_aux(x: CodeSequence, loaded: LoadedRegion) -> np.ndarray:
-    """Closed-form u-step for fixed x, returned as s = sum over cells of R u^r + R u^i.
+def update_aux(x: CodeSequence, loaded: LoadedRegion) -> tuple[np.ndarray, float]:
+    """Closed-form u-step for fixed x: (s, C) with s = sum over cells of R u^r + R u^i.
 
     u = R x / ||R x|| maximizes Re{x^H R u} (the u-part of M2 with its sign
     flipped) over the unit sphere, and R u = L x / sqrt(x^H L x), so s weights
-    each row of A x and A^H x by 1 / sqrt(x^H L x). Raises RuntimeError when
-    some x^H L x is not positive, i.e. the loading failed to make that matrix
-    positive definite.
+    each row of A x and A^H x by 1 / sqrt(x^H L x). C = sum |r|^2 is the
+    region energy at x, from the r = x^H A x the weights are built on.
+    Raises RuntimeError when some x^H L x is not positive, i.e. the loading
+    failed to make that matrix positive definite.
     """
     values = x.values
     ax = values[loaded.fwd_idx]
@@ -292,8 +305,9 @@ def update_aux(x: CodeSequence, loaded: LoadedRegion) -> np.ndarray:
     w_r = 1.0 / np.sqrt(q_r)
     w_i = 1.0 / np.sqrt(q_i)
     # L_r x = (A x + A^H x) / 2 + zeta x and L_i x = j (A x - A^H x) / 2 + zeta x
-    return ((0.5 * w_r + 0.5j * w_i) @ ax + (0.5 * w_r - 0.5j * w_i) @ ahx
-            + loaded.zeta * (w_r.sum() + w_i.sum()) * values)
+    s = ((0.5 * w_r + 0.5j * w_i) @ ax + (0.5 * w_r - 0.5j * w_i) @ ahx
+         + loaded.zeta * (w_r.sum() + w_i.sum()) * values)
+    return s, float(np.vdot(r, r).real)
 
 
 def m2_objective(x: CodeSequence, aux: np.ndarray, loaded: LoadedRegion) -> float:
@@ -327,17 +341,17 @@ def build_bx(aux: np.ndarray, loaded: LoadedRegion) -> np.ndarray:
 
 
 def build_uqp(aux: np.ndarray, loaded: LoadedRegion) -> np.ndarray:
-    """PSD matrix D = gamma_x * I - B whose UQP maximization is the x-step.
+    """D = gamma_x * I - B, whose pinned-tail UQP maximization is the x-step.
 
-    gamma_x = |R| (2 zeta + sqrt(2)) + sqrt(zeta N) ||s|| is Weyl's bound
-    lambda_max(Q) + ||b|| on the top eigenvalue of the Hermitian B (see the
-    module docstring), with aux = s. D is build_bx's array negated in place
-    with gamma_x added to its diagonal, so no other (N+1)^2 array is built.
+    gamma_x = |R| (2 zeta + sqrt(2)) is Weyl's bound on lambda_max(Q), with
+    Q the top-left block of B, so D's leading N x N block is PSD. That is
+    all PMLI's monotonicity needs, because the trailing entry of [x; 1] is
+    pinned (see the module docstring); the full D need not be PSD. D is
+    build_bx's array negated in place with gamma_x added to its diagonal,
+    so no other (N+1)^2 array is built.
     """
     n = loaded.n
-    zeta = loaded.zeta
-    gamma_x = (loaded.region.size * (2.0 * zeta + math.sqrt(2.0))
-               + math.sqrt(zeta * n) * float(np.linalg.norm(aux)))
+    gamma_x = loaded.region.size * (2.0 * loaded.zeta + math.sqrt(2.0))
     d_mat = build_bx(aux, loaded)
     np.negative(d_mat, out=d_mat)
     d_mat.flat[::n + 2] += gamma_x
@@ -350,10 +364,12 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
 
     Repeats x <- exp(j arg(first N entries of D [x; 1])) for at most gamma2
     steps; stops at an exact fixed point. The trailing entry of the lifted
-    vector stays pinned at 1. For PSD D the objective [x; 1]^H D [x; 1]
-    never decreases. Entries of D [x; 1] that are exactly zero keep their
-    previous phase, which leaves the objective unchanged and keeps runs
-    deterministic.
+    vector stays pinned at 1. When D's leading N x N block is PSD the
+    objective [x; 1]^H D [x; 1] never decreases: consecutive lifted vectors
+    differ only in their head, so the trailing row and column of D never
+    enter the second-order term of the step. Entries of D [x; 1] that are
+    exactly zero keep their previous phase, which leaves the objective
+    unchanged and keeps runs deterministic.
 
     A step whose new phases are bitwise equal to the current ones is a
     fixed point: every later step would compute the same lifted vector and
@@ -420,18 +436,17 @@ def run(config: SolverConfig, collect_inner: bool = False, on_outer=None):
     One outer iteration builds the UQP matrix from the current auxiliary
     vectors, runs at most gamma2 inner power-method-like steps on the code
     (stopping at an exact fixed point), then refreshes the auxiliary
-    vectors at the new code. The loop stops when the quartic objective's
-    relative change falls to epsilon or after gamma1 outer iterations,
-    whichever comes first; the trace records which one, the last relative
-    change and the initial code. Pass on_outer to observe the SolverState
-    after each outer iteration.
+    vectors and the quartic objective at the new code. The loop stops when
+    the quartic objective's relative change falls to epsilon or after
+    gamma1 outer iterations, whichever comes first; the trace records which
+    one, the last relative change and the initial code. Pass on_outer to
+    observe the SolverState after each outer iteration.
     """
     loaded = build_loaded_region(config.n, config.region, delta=config.delta)
     x = init_random_code(config.n, config.seed)
-    aux = update_aux(x, loaded)
+    aux, c_prev = update_aux(x, loaded)
     trace = ConvergenceTrace(inner_objectives=[] if collect_inner else None, initial_code=x)
     start = time.perf_counter()
-    c_prev = eval_objective(x, config.region)
     trace.record(0, c_prev, m2_objective(x, aux, loaded), 0.0)
     state = SolverState(x=x, aux=aux, loaded=loaded, trace=trace, outer_iter=0)
     for t in range(1, config.gamma1 + 1):
@@ -441,8 +456,7 @@ def run(config: SolverConfig, collect_inner: bool = False, on_outer=None):
             x, inner = pmli_inner(d_mat, x, config.gamma2, track_objective=True)
         else:
             x = pmli_inner(d_mat, x, config.gamma2)
-        aux = update_aux(x, loaded)
-        c_now = eval_objective(x, config.region)
+        aux, c_now = update_aux(x, loaded)
         elapsed = (time.perf_counter() - start) * 1e3
         trace.record(t, c_now, m2_objective(x, aux, loaded), elapsed, inner)
         state.x = x

@@ -110,8 +110,9 @@ def pmli_inner_fixed_count(d_mat, x_start, gamma2, track_objective=False):
 def build_uqp_frobenius(aux, loaded):
     """build_uqp with gamma_x = ||B||_F, the looser bound it first used.
 
-    Both bounds keep D PSD, so PMLI reaches the same fixed points; the
-    solve with the Weyl bound must stay within a stated tolerance of this.
+    Both bounds keep D's leading N x N block PSD, which is all PMLI's
+    monotonicity needs, and PMLI reaches the same fixed points under either;
+    the solve with the Weyl bound must stay within a stated tolerance of this.
     """
     from afshape.solver import build_bx
 

@@ -232,6 +232,8 @@ def test_run_and_export_artifacts(tmp_path):
     assert manifest_data["config"] == config.to_json_dict()
     assert manifest_data["tool_version"] == __version__
     assert manifest_data["final_c"] == pytest.approx(float(trace_lines[-1].split(",")[1]))
+    # the FFT evaluator's C, not the solve loop's: the same float in both files
+    assert manifest_data["final_c"] == report["after"]["region_energy"]
     assert set(manifest_data["outputs"]) == {
         "code", "af_grid", "af_grid_db", "trace", "report", "manifest"}
     assert manifest_data["suppression_db"] == report["suppression_db"]

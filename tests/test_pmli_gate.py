@@ -21,7 +21,7 @@ WIDE_REGION = RegionSpec(delays=tuple(range(1, 13)), dopplers=tuple(range(-10, 1
 CONFIGS = {
     "ref31": (SolverConfig(n=31, region=REF_REGION, gamma1=30, gamma2=500, seed=0),
               False, True),
-    "wide64": (SolverConfig(n=64, region=WIDE_REGION, gamma1=8, gamma2=100, seed=0),
+    "wide64": (SolverConfig(n=64, region=WIDE_REGION, gamma1=8, gamma2=20, seed=0),
                False, False),
     "ref31-verbose": (SolverConfig(n=31, region=REF_REGION, gamma1=20, gamma2=500, seed=3),
                       True, True),

@@ -30,6 +30,7 @@ from oracle import (build_uqp_frobenius, pmli_inner_fixed_count, quadratic_form,
 
 SMALL_REGION = RegionSpec(delays=(1, 2), dopplers=(2, 3, -3))
 REF_REGION = RegionSpec(delays=(5, 6, 7), dopplers=(-15, -14, -13, 11, 12, 13, 14))
+WIDE_REGION = RegionSpec(delays=tuple(range(1, 13)), dopplers=tuple(range(-10, 11)))
 
 
 def small_config(**overrides):
@@ -120,7 +121,7 @@ def test_update_aux_unit_norms():
     # sum(||R_r x|| + ||R_i x||) only when every u is the unit maximizer
     loaded = build_loaded_region(8, RegionSpec(delays=(1, 3), dopplers=(-2, 2)))
     x = init_random_code(8, 0)
-    s = update_aux(x, loaded)
+    s, _ = update_aux(x, loaded)
     assert s.shape == (8,)
     bound = sum(np.linalg.norm(pair.ar_root @ x.values) + np.linalg.norm(pair.ai_root @ x.values)
                 for pair in reference_pairs(loaded))
@@ -132,7 +133,7 @@ def test_update_aux_identity_roots_give_normalized_code():
     n = 6
     loaded = identity_loaded_region(n)
     x = init_random_code(n, 2)
-    s = update_aux(x, loaded)
+    s, _ = update_aux(x, loaded)
     np.testing.assert_allclose(s, (np.sqrt(2.0) + 1.0) * x.values / np.sqrt(n), atol=1e-12)
 
 
@@ -143,7 +144,8 @@ def test_update_aux_beats_random_unit_vectors():
     loaded = build_loaded_region(n, RegionSpec(delays=(1,), dopplers=(2,)))
     (pair,) = reference_pairs(loaded)
     x = init_random_code(n, 3)
-    best = np.vdot(x.values, update_aux(x, loaded)).real
+    s, _ = update_aux(x, loaded)
+    best = np.vdot(x.values, s).real
     products = (pair.ar_root @ x.values, pair.ai_root @ x.values)
     rng = np.random.default_rng(17)
     for _ in range(200):
@@ -160,6 +162,19 @@ def test_update_aux_rejects_indefinite_loading():
         update_aux(init_random_code(8, 0), loaded)
 
 
+def test_update_aux_c_matches_eval_objective():
+    # C = sum |r|^2 from the u-step's r = x^H A x against the FFT evaluator
+    rng = np.random.default_rng(59)
+    for n, region in ((31, REF_REGION), (64, WIDE_REGION),
+                      (128, RegionSpec(delays=(3, 4, 5), dopplers=(-20, -19, 40, 41, 42)))):
+        loaded = build_loaded_region(n, region)
+        for _ in range(5):
+            x = CodeSequence(phases=rng.uniform(0, 2 * np.pi, n))
+            _, c = update_aux(x, loaded)
+            assert isinstance(c, float)
+            assert abs(c - eval_objective(x, region)) <= 1e-12 * eval_objective(x, region)
+
+
 def test_root_free_path_matches_root_reference():
     # sum R u, M2 and the border of B against explicit Hermitian roots
     rng = np.random.default_rng(53)
@@ -171,7 +186,7 @@ def test_root_free_path_matches_root_reference():
         scale = np.sqrt(loaded.zeta * n)
         for _ in range(4):
             x = CodeSequence(phases=rng.uniform(0, 2 * np.pi, n))
-            aux = update_aux(x, loaded)
+            aux, _ = update_aux(x, loaded)
             ref_r, ref_i = reference_aux(x, pairs)
             ref_s = ref_r.sum(axis=0) + ref_i.sum(axis=0)
             assert np.linalg.norm(aux - ref_s) <= 1e-12 * np.linalg.norm(ref_s)
@@ -192,7 +207,8 @@ def test_build_bx_structure():
     n = 8
     loaded = build_loaded_region(n, RegionSpec(delays=(1, 2), dopplers=(-2, 3)))
     x = init_random_code(n, 4)
-    bx = build_bx(update_aux(x, loaded), loaded)
+    s, _ = update_aux(x, loaded)
+    bx = build_bx(s, loaded)
     assert bx.shape == (n + 1, n + 1)
     np.testing.assert_allclose(bx, bx.conj().T, atol=1e-13)
     np.testing.assert_allclose(bx[:n, :n], loaded.quad_sum, atol=1e-13)
@@ -208,7 +224,7 @@ def test_m2_equals_lifted_quadratic_plus_constant():
     region = RegionSpec(delays=(1, 2), dopplers=(-2, 3))
     loaded = build_loaded_region(n, region)
     x = init_random_code(n, 5)
-    aux = update_aux(x, loaded)
+    aux, _ = update_aux(x, loaded)
     bx = build_bx(aux, loaded)
     lifted = np.concatenate([x.values, [1.0]])
     direct = m2_objective(x, aux, loaded)
@@ -234,25 +250,31 @@ def uqp_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(uqp_cases())
 def test_build_uqp_is_psd(case):
-    # gamma_x = |R| (2 zeta + sqrt 2) + sqrt(zeta N) ||s|| must sit at or above
-    # lambda_max(B) on every region, loading and code, or PMLI loses monotonicity
+    # gamma_x = |R| (2 zeta + sqrt 2) must sit at or above lambda_max(Q) on every
+    # region, loading and code: PMLI pins the trailing entry of [x; 1], so its
+    # monotonicity needs only D's leading N x N block to be PSD
     n, region, delta, seed = case
     loaded = build_loaded_region(n, region, delta=delta)
-    d_mat = build_uqp(update_aux(init_random_code(n, seed), loaded), loaded)
+    x = init_random_code(n, seed)
+    s, _ = update_aux(x, loaded)
+    d_mat = build_uqp(s, loaded)
     assert np.array_equal(d_mat, d_mat.conj().T)
-    assert np.linalg.eigvalsh(d_mat)[0] >= -1e-10 * np.linalg.norm(d_mat)
+    head = d_mat[:n, :n]
+    assert np.linalg.eigvalsh(head)[0] >= -1e-10 * np.linalg.norm(head)
+    _, objectives = pmli_inner(d_mat, x, 60, track_objective=True)
+    assert np.all(np.diff(objectives) >= -1e-9 * np.abs(objectives[:-1]))
 
 
 def test_build_uqp_is_gamma_x_minus_bx():
     loaded = build_loaded_region(8, SMALL_REGION)
-    aux = update_aux(init_random_code(8, 6), loaded)
-    bx = build_bx(aux, loaded)
-    gamma_x = (SMALL_REGION.size * (2 * loaded.zeta + np.sqrt(2))
-               + np.sqrt(loaded.zeta * 8) * np.linalg.norm(aux))
-    np.testing.assert_allclose(build_uqp(aux, loaded), gamma_x * np.eye(9) - bx,
+    s, _ = update_aux(init_random_code(8, 6), loaded)
+    bx = build_bx(s, loaded)
+    gamma_x = SMALL_REGION.size * (2 * loaded.zeta + np.sqrt(2))
+    np.testing.assert_allclose(build_uqp(s, loaded), gamma_x * np.eye(9) - bx,
                                rtol=0, atol=1e-13 * gamma_x)
-    assert gamma_x >= np.linalg.eigvalsh(bx)[-1]
-    assert gamma_x < np.linalg.norm(bx)  # tighter than the Frobenius bound it replaced
+    assert gamma_x >= np.linalg.eigvalsh(bx[:8, :8])[-1]
+    # below lambda_max(B): the bound covers Q alone, not the border, so the full D is not PSD
+    assert gamma_x < np.linalg.eigvalsh(bx)[-1]
 
 
 def test_weyl_gamma_matches_frobenius_gamma_on_ref31(monkeypatch):
@@ -443,6 +465,25 @@ def test_run_quartic_chain_agrees_at_every_outer_iteration():
 
     run(config, on_outer=check)
     assert seen == list(range(1, len(seen) + 1))
+
+
+@pytest.mark.parametrize("config", [
+    SolverConfig(n=31, region=REF_REGION, gamma1=40, gamma2=500, seed=0),
+    SolverConfig(n=64, region=WIDE_REGION, gamma1=8, gamma2=100, seed=0),
+], ids=["ref31", "wide64"])
+def test_run_c_matches_eval_objective_at_every_outer_iteration(config):
+    # the loop takes C from the u-step; the FFT evaluator stays the reference
+    checked = []
+
+    def check(state):
+        c = state.trace.c_values[-1]
+        assert abs(c - eval_objective(state.x, config.region)) <= 1e-12 * c
+        checked.append(state.outer_iter)
+
+    _, trace = run(config, on_outer=check)
+    c0 = eval_objective(trace.initial_code, config.region)
+    assert abs(trace.c_values[0] - c0) <= 1e-12 * c0
+    assert checked == trace.outer_iters[1:]
 
 
 def test_run_takes_no_eigendecomposition(monkeypatch):
