@@ -27,12 +27,14 @@ A^H x = conj(d_p)[(i - k) mod N] * x[(i - k) mod N]. For a unimodular x
 the quadratic forms are x^H (ar + zeta*I) x = zeta N + Re r[k, p] and
 x^H (ai + zeta*I) x = zeta N - Im r[k, p].
 
-build_loaded_region therefore precomputes, once per region, just those
-gather indices and Doppler diagonals plus the dense sum of all loaded
-matrices (the quadratic block of the solver's x-step). split_kernel and
-load_and_root still build the dense matrices and their roots by
-eigendecomposition: they are the slow reference the fast path is tested
-against.
+A region is the product of its K lags and P Doppler bins, and A x
+factors into a lag shift and a Doppler row. build_loaded_region
+therefore precomputes, once per region, just the K shift and un-shift
+indices and the P Doppler rows (not one row per cell), plus the dense
+sum of all loaded matrices (the quadratic block of the solver's x-step).
+split_kernel and load_and_root still build the dense matrices and their
+roots by eigendecomposition: they are the slow reference the fast path is
+tested against.
 """
 
 from __future__ import annotations
@@ -87,20 +89,23 @@ class LoadedPair:
 class LoadedRegion:
     """Everything precomputed for one (n, region) pair.
 
-    Row c of each (|R|, N) array belongs to the c-th (k, p) of
-    region.pairs(): A x = fwd_diag[c] * x[fwd_idx[c]] and
-    A^H x = bwd_diag[c] * x[bwd_idx[c]]. quad_sum caches the region-wide
-    sum of all loaded matrices, sum(ar + ai) + 2 |R| zeta I (the quadratic
-    block reused by every outer iteration of the solver).
+    Row a of the (K, N) tables shift_idx and unshift_idx belongs to lag
+    k = region.delays[a] and row b of the (P, N) doppler_rows to bin
+    p = region.dopplers[b], so cell (k, p) of region.pairs() has
+    A x = doppler_rows[b] * x[shift_idx[a]]. unshift_idx holds flat indices
+    into a (K, N) array y with y.take(unshift_idx)[a, i] = y[a, (i - k) mod N],
+    which moves row a back by its lag: A^H x = y.take(unshift_idx)[a] when
+    y[a] = conj(doppler_rows[b]) * x. quad_sum caches the region-wide sum of
+    all loaded matrices, sum(ar + ai) + 2 |R| zeta I (the quadratic block
+    reused by every outer iteration of the solver).
     """
 
     n: int
     region: RegionSpec
     zeta: float
-    fwd_idx: np.ndarray
-    bwd_idx: np.ndarray
-    fwd_diag: np.ndarray
-    bwd_diag: np.ndarray
+    shift_idx: np.ndarray
+    unshift_idx: np.ndarray
+    doppler_rows: np.ndarray
     quad_sum: np.ndarray
 
 
@@ -139,23 +144,24 @@ def load_and_root(split: SplitPair, zeta: float) -> LoadedPair:
 
 
 def build_loaded_region(n: int, region: RegionSpec, delta: float = 0.01) -> LoadedRegion:
-    """Gather indices, Doppler diagonals and loaded-matrix sum of a region."""
+    """Lag indices, Doppler rows and loaded-matrix sum of a region."""
     delta = float(delta)
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError(f"loading margin delta must be finite and > 0, got {delta}")
     region.validate_for(n)
     zeta = 1.0 + delta
-    cells = region.pairs()
     rows = np.arange(n)
-    lags = np.array([k for k, _ in cells])[:, None]
-    fwd_idx = (rows + lags) % n
-    bwd_idx = (rows - lags) % n
-    fwd_diag = np.array([doppler_phase_vector(p, n) for _, p in cells])
-    bwd_diag = np.take_along_axis(fwd_diag.conj(), bwd_idx, axis=1)
-    # ar + ai = S + S^H with S = (1 + j) A / 2, and A holds d_p[i] at (i, (i + k) mod N)
-    half = np.zeros((n, n), dtype=complex)
-    np.add.at(half, (np.broadcast_to(rows, fwd_idx.shape), fwd_idx), 0.5 * (1 + 1j) * fwd_diag)
-    quad_sum = half + half.conj().T
-    quad_sum.flat[::n + 1] += 2.0 * len(cells) * zeta  # the loading, on the diagonal in place
-    return LoadedRegion(n=n, region=region, zeta=zeta, fwd_idx=fwd_idx, bwd_idx=bwd_idx,
-                        fwd_diag=fwd_diag, bwd_diag=bwd_diag, quad_sum=quad_sum)
+    lags = np.array(region.delays)[:, None]
+    shift_idx = (rows + lags) % n
+    unshift_idx = (rows - lags) % n + n * np.arange(len(lags))[:, None]
+    doppler_rows = np.array([doppler_phase_vector(p, n) for p in region.dopplers])
+    # ar + ai = S + S^H with S = (1 + j) A / 2, and A holds d_p[i] at (i, (i + k) mod N),
+    # so every lag writes the same row sum of S at its own positions; the lags are
+    # distinct mod N, so neither write below hits a position twice
+    s_row = (0.5 * (1 + 1j) * doppler_rows).sum(axis=0)
+    quad_sum = np.zeros((n, n), dtype=complex)
+    quad_sum[rows, shift_idx] = s_row
+    quad_sum[shift_idx, rows] += s_row.conj()
+    quad_sum.flat[::n + 1] += 2.0 * region.size * zeta  # the loading, on the diagonal in place
+    return LoadedRegion(n=n, region=region, zeta=zeta, shift_idx=shift_idx,
+                        unshift_idx=unshift_idx, doppler_rows=doppler_rows, quad_sum=quad_sum)

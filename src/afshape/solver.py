@@ -53,8 +53,9 @@ Each full cycle therefore never increases M2. Expanding the squares with
     ||R x - sqrt(zeta N) u||^2 = x^H L x + zeta N - 2 sqrt(zeta N) Re(x^H R u),
 
 with x^H L x = zeta N + Re r[k, p] for the ar half and zeta N - Im r[k, p]
-for the ai half. The u-step is therefore one pass over the (|R|, N) gather
-tables of the LoadedRegion, and summing the terms gives
+for the ai half. The u-step therefore needs only the K lag shifts and the
+P Doppler rows of the LoadedRegion (never one row per cell: see
+update_aux), and summing the terms gives
 
     M2 = x^H Q x + 2 |R| zeta N - 2 sqrt(zeta N) Re(x^H s)
 
@@ -282,31 +283,44 @@ def update_aux(x: CodeSequence, loaded: LoadedRegion) -> tuple[np.ndarray, float
 
     u = R x / ||R x|| maximizes Re{x^H R u} (the u-part of M2 with its sign
     flipped) over the unit sphere, and R u = L x / sqrt(x^H L x), so s weights
-    each row of A x and A^H x by 1 / sqrt(x^H L x). C = sum |r|^2 is the
+    each cell's A x and A^H x by 1 / sqrt(x^H L x). C = sum |r|^2 is the
     region energy at x, from the r = x^H A x the weights are built on.
+
+    Nothing is formed per cell. With F the (P, N) Doppler rows and
+    xs[k] = x[(i + k) mod N] the K shifted copies of x,
+
+        r = (xs * conj(x)) F^T
+
+    is the (K, P) block of every x^H A x, in region.pairs() order when
+    flattened. With alpha = (w_r + j w_i) / 2 the (K, P) weights of the
+    A x half and W = alpha F, the A x half of s is sum_k xs[k] * W[k]; the
+    A^H x half has weights conj(alpha), so it is sum_k of the row
+    conj(W[k]) * x shifted back by k, one flat gather of a (K, N) array.
     Raises RuntimeError when some x^H L x is not positive, i.e. the loading
     failed to make that matrix positive definite.
     """
     values = x.values
-    ax = values[loaded.fwd_idx]
-    ahx = values[loaded.bwd_idx]
-    # in place, so the two gathers are the only (|R|, N) arrays built
-    np.multiply(loaded.fwd_diag, ax, out=ax)
-    np.multiply(loaded.bwd_diag, ahx, out=ahx)
-    r = ax @ values.conj()
+    rows = loaded.doppler_rows
+    shifted = values[loaded.shift_idx]
+    r = (shifted * values.conj()) @ rows.T
     # x^H L x of both loaded halves, using ||x||^2 = N for unimodular x
     zn = loaded.zeta * loaded.n
     q_r = zn + r.real
     q_i = zn - r.imag
-    if not (np.all(q_r > 0.0) and np.all(q_i > 0.0)):
+    if not (q_r.min() > 0.0 and q_i.min() > 0.0):  # a NaN minimum fails too
         raise RuntimeError(f"loaded matrices are not positive definite at this code: "
                            f"min x^H L x = {min(q_r.min(), q_i.min()):.6e} "
                            f"at loading level {loaded.zeta:.6e}")
     w_r = 1.0 / np.sqrt(q_r)
     w_i = 1.0 / np.sqrt(q_i)
     # L_r x = (A x + A^H x) / 2 + zeta x and L_i x = j (A x - A^H x) / 2 + zeta x
-    s = ((0.5 * w_r + 0.5j * w_i) @ ax + (0.5 * w_r - 0.5j * w_i) @ ahx
-         + loaded.zeta * (w_r.sum() + w_i.sum()) * values)
+    weights = (0.5 * w_r + 0.5j * w_i) @ rows
+    # both halves in place in the two (K, N) arrays: xs * W, plus conj(W) * x moved back
+    terms = np.multiply(shifted, weights, out=shifted)
+    np.conjugate(weights, out=weights)
+    terms += np.multiply(weights, values, out=weights).take(loaded.unshift_idx)
+    s = terms.sum(axis=0)
+    s += loaded.zeta * (w_r.sum() + w_i.sum()) * values
     return s, float(np.vdot(r, r).real)
 
 

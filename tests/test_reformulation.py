@@ -173,17 +173,23 @@ def test_build_loaded_region_caches_sums():
 
 
 def test_loaded_region_tables_apply_each_kernel():
+    # a negative lag, a lag above N/2 and Doppler 0
     n = 9
     region = RegionSpec(delays=(-4, 1, 8), dopplers=(-5, 0, 3))
     loaded = build_loaded_region(n, region)
-    assert loaded.fwd_idx.shape == loaded.fwd_diag.shape == (region.size, n)
+    assert loaded.shift_idx.shape == loaded.unshift_idx.shape == (3, n)
+    assert loaded.doppler_rows.shape == (3, n)
     x = init_random_code(n, 3).values
     for c, (k, p) in enumerate(region.pairs()):
+        row, col = divmod(c, len(region.dopplers))
+        assert (region.delays[row], region.dopplers[col]) == (k, p)
         a = build_kernel(k, p, n).matrix
-        np.testing.assert_allclose(loaded.fwd_diag[c] * x[loaded.fwd_idx[c]], a @ x,
-                                   atol=1e-14)
-        np.testing.assert_allclose(loaded.bwd_diag[c] * x[loaded.bwd_idx[c]],
-                                   a.conj().T @ x, atol=1e-14)
+        d_p = loaded.doppler_rows[col]
+        np.testing.assert_allclose(d_p * x[loaded.shift_idx[row]], a @ x, atol=1e-14)
+        # A^H x through the flat un-shift of a (K, N) array whose row `row` is conj(d_p) * x
+        y = np.zeros((3, n), dtype=complex)
+        y[row] = d_p.conj() * x
+        np.testing.assert_allclose(y.take(loaded.unshift_idx)[row], a.conj().T @ x, atol=1e-14)
 
 
 def test_build_loaded_region_validates_region():

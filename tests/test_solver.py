@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from afshape import (
@@ -15,6 +15,7 @@ from afshape import (
     build_kernel,
     build_loaded_region,
     build_uqp,
+    doppler_phase_vector,
     eval_objective,
     init_random_code,
     load_and_root,
@@ -40,12 +41,14 @@ def small_config(**overrides):
 
 
 def identity_loaded_region(n):
-    """Degenerate region whose single kernel is A = I (so ar = I, ai = 0), zeta = 1."""
+    """Degenerate region whose single kernel is A = I (so ar = I, ai = 0), zeta = 1.
+
+    One lag-0 row and one all-ones Doppler row.
+    """
     region = RegionSpec(delays=(0,), dopplers=(1,))
     rows = np.arange(n)[None, :]
-    ones = np.ones((1, n), dtype=complex)
-    return LoadedRegion(n=n, region=region, zeta=1.0, fwd_idx=rows, bwd_idx=rows,
-                        fwd_diag=ones, bwd_diag=ones, quad_sum=3.0 * np.eye(n))
+    return LoadedRegion(n=n, region=region, zeta=1.0, shift_idx=rows, unshift_idx=rows,
+                        doppler_rows=np.ones((1, n), dtype=complex), quad_sum=3.0 * np.eye(n))
 
 
 def reference_pairs(loaded):
@@ -265,6 +268,86 @@ def test_build_uqp_is_psd(case):
     assert np.all(np.diff(objectives) >= -1e-9 * np.abs(objectives[:-1]))
 
 
+def quad_sum_from_cell_tables(n, region, zeta):
+    """quad_sum by the per-cell construction: one (|R|, N) row of S = (1 + j) A / 2 per cell."""
+    cells = region.pairs()
+    rows = np.arange(n)
+    fwd_idx = (rows + np.array([k for k, _ in cells])[:, None]) % n
+    fwd_diag = np.array([doppler_phase_vector(p, n) for _, p in cells])
+    half = np.zeros((n, n), dtype=complex)
+    np.add.at(half, (np.broadcast_to(rows, fwd_idx.shape), fwd_idx), 0.5 * (1 + 1j) * fwd_diag)
+    quad_sum = half + half.conj().T
+    quad_sum.flat[::n + 1] += 2.0 * len(cells) * zeta
+    return quad_sum
+
+
+LONG_REGION = RegionSpec(delays=(1, 2, 3), dopplers=(-2, -1, 0, 1, 2))
+# the benchmark shapes, then regions with a lag and its negative, a lag of N/2, a
+# negative lag above N/2 in size, k = 0 with p != 0, a single lag and a single Doppler bin
+LAG_FACTOR_EXAMPLES = [
+    (31, REF_REGION, 0.01, 0),
+    (64, WIDE_REGION, 0.01, 0),
+    (128, LONG_REGION, 0.01, 0),
+    (9, RegionSpec(delays=(-4, 1, 8), dopplers=(-5, 0, 3)), 0.01, 3),
+    (12, RegionSpec(delays=(-5, -1, 1, 6), dopplers=(-6, 2, 5)), 0.01, 1),
+    (13, RegionSpec(delays=(-9, -6, 3), dopplers=(-7, 0, 5)), 0.5, 2),
+    (16, RegionSpec(delays=(0, 3), dopplers=(-8, 5)), 0.01, 4),
+    (10, RegionSpec(delays=(-2,), dopplers=(-5, -1, 1, 4)), 1e-3, 5),
+    (11, RegionSpec(delays=(-5, 0, 2, 7), dopplers=(3,)), 0.01, 6),
+    (2, RegionSpec(delays=(1,), dopplers=(0,)), 0.01, 7),
+    (2, RegionSpec(delays=(0,), dopplers=(-1,)), 1e-3, 0),
+]
+
+
+def with_examples(test):
+    for case in LAG_FACTOR_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@with_examples
+@given(uqp_cases())
+def test_quad_sum_matches_cell_table_construction(case):
+    # bit for bit against the per-cell np.add.at construction that the lag rows replace
+    n, region, delta, _ = case
+    loaded = build_loaded_region(n, region, delta=delta)
+    assert np.array_equal(loaded.quad_sum.view(np.uint64),
+                          quad_sum_from_cell_tables(n, region, loaded.zeta).view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None)
+@with_examples
+@given(uqp_cases())
+def test_loaded_region_tables_are_lag_factored(case):
+    # no table grows with |R| = K P: K shift rows, K un-shift rows, P Doppler rows
+    n, region, delta, _ = case
+    loaded = build_loaded_region(n, region, delta=delta)
+    entries = sum(value.size for name, value in vars(loaded).items()
+                  if isinstance(value, np.ndarray) and name != "quad_sum")
+    assert entries <= (2 * len(region.delays) + len(region.dopplers)) * n
+
+
+@settings(max_examples=100, deadline=None)
+@with_examples
+@given(uqp_cases())
+def test_update_aux_matches_root_reference_on_random_regions(case):
+    # (s, C) of the lag-factored u-step against explicit roots and the FFT evaluator
+    n, region, delta, seed = case
+    loaded = build_loaded_region(n, region, delta=delta)
+    x = init_random_code(n, seed)
+    s, c = update_aux(x, loaded)
+    ref_r, ref_i = reference_aux(x, reference_pairs(loaded))
+    ref_s = ref_r.sum(axis=0) + ref_i.sum(axis=0)
+    assert np.linalg.norm(s - ref_s) <= 1e-12 * np.linalg.norm(ref_s)
+    ref_c = eval_objective(x, region)
+    if region.delays == (0,):
+        # r = sum_i d_p[i] = 0 at lag 0 for every p != 0, so C is rounding alone
+        assert c <= region.size * (1e-12 * n) ** 2
+    else:
+        assert abs(c - ref_c) <= 1e-12 * ref_c
+
+
 def test_build_uqp_is_gamma_x_minus_bx():
     loaded = build_loaded_region(8, SMALL_REGION)
     s, _ = update_aux(init_random_code(8, 6), loaded)
@@ -278,8 +361,9 @@ def test_build_uqp_is_gamma_x_minus_bx():
 
 
 def test_weyl_gamma_matches_frobenius_gamma_on_ref31(monkeypatch):
-    # both bounds keep D PSD and PMLI reaches the same fixed points, so the
-    # reference solve may move only by rounding: the stated tolerance
+    # both bounds keep D's leading N x N block PSD and PMLI reaches the same
+    # fixed points, so the reference solve may move only by rounding: the
+    # stated tolerance
     config = SolverConfig(n=31, region=REF_REGION, gamma1=1000, gamma2=500, seed=0)
     _, trace = run(config)
     monkeypatch.setattr(solver, "build_uqp", build_uqp_frobenius)
