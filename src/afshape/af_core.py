@@ -135,7 +135,8 @@ def doppler_phase_vector(p: int, n: int) -> np.ndarray:
     """Diagonal of D_p: entry n is exp(-2j pi n p / N) with 1-based n.
 
     The last entry is exp(-2j pi p) = 1 for every integer p, and any p is
-    reduced mod N implicitly by the exponential.
+    reduced mod N implicitly by the exponential. A (P, 1) integer array p
+    gives the P diagonals as rows, each bit for bit the one its bin gives.
     """
     if n < 2:
         raise ValueError(f"code length must be >= 2, got {n}")

@@ -8,7 +8,8 @@ A run writes six files into --out (plus trace.json when --verbose):
     trace.csv       outer_iter, C, m2_objective
     report.json     before/after region reports and the suppression figure
     manifest.json   config echo, version, timestamps, file paths, headline numbers,
-                    stop_reason ("epsilon" or "gamma1") and the final relative change of C
+                    stop_reason ("epsilon" or "gamma1"), the final relative change of C,
+                    and the loading level zeta and the x-step's gamma_x
 
 Settings come from flags, from a JSON config file (--config), or both;
 flags win over file values, and AFSHAPE_SEED supplies the seed when
@@ -62,6 +63,8 @@ class RunManifest:
     suppression_db: float
     stop_reason: str
     final_rel_change: float
+    zeta: float
+    gamma_x: float
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -297,6 +300,8 @@ def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> RunMa
             suppression_db=comparison.suppression_db,
             stop_reason=trace.stop_reason,
             final_rel_change=trace.final_rel_change,
+            zeta=trace.zeta,
+            gamma_x=trace.gamma_x,
         )
         written.append(paths["manifest"])
         _write_json(paths["manifest"], manifest.to_json_dict())

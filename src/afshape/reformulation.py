@@ -31,7 +31,8 @@ A region is the product of its K lags and P Doppler bins, and A x
 factors into a lag shift and a Doppler row. build_loaded_region
 therefore precomputes, once per region, just the K shift and un-shift
 indices and the P Doppler rows (not one row per cell), plus the dense
-sum of all loaded matrices (the quadratic block of the solver's x-step).
+sum of all loaded matrices (the quadratic block of the solver's x-step)
+and a bound on its top eigenvalue (the x-step's gamma_x).
 split_kernel and load_and_root still build the dense matrices and their
 roots by eigendecomposition: they are the slow reference the fast path is
 tested against.
@@ -40,6 +41,7 @@ tested against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +98,12 @@ class LoadedRegion:
     into a (K, N) array y with y.take(unshift_idx)[a, i] = y[a, (i - k) mod N],
     which moves row a back by its lag: A^H x = y.take(unshift_idx)[a] when
     y[a] = conj(doppler_rows[b]) * x. quad_sum caches the region-wide sum of
-    all loaded matrices, sum(ar + ai) + 2 |R| zeta I (the quadratic block
-    reused by every outer iteration of the solver).
+    all loaded matrices, Q = sum(ar + ai) + 2 |R| zeta I (the quadratic block
+    reused by every outer iteration of the solver), and gamma_x a rigorous
+    upper bound on lambda_max(Q), found without any factorization (see
+    build_loaded_region). The x-step's matrix is gamma_x I - Q bordered by
+    the auxiliary vector, and Q never changes during a solve, so neither
+    does gamma_x.
     """
 
     n: int
@@ -107,6 +113,7 @@ class LoadedRegion:
     unshift_idx: np.ndarray
     doppler_rows: np.ndarray
     quad_sum: np.ndarray
+    gamma_x: float
 
 
 def split_kernel(kernel: AFKernel) -> SplitPair:
@@ -143,8 +150,63 @@ def load_and_root(split: SplitPair, zeta: float) -> LoadedPair:
     )
 
 
+# power steps behind the Collatz-Wielandt bound on lambda_max(quad_sum); at
+# eight it is within 1% of rho(|Q|) and 2-3% of lambda_max on the benchmark regions
+GAMMA_STEPS = 8
+
+
+def _collatz_wielandt_bound(shift_idx: np.ndarray, back_idx: np.ndarray,
+                            s_abs: np.ndarray) -> float:
+    """Upper bound on the spectral radius of the lag-structured matrix H.
+
+    H is nonnegative with (H v)[i] = sum over lags of s_abs[i] v[i + k] +
+    s_abs[i - k] v[i - k] (indices mod N), so it is applied as 2K weighted
+    gathers and never formed. For every v > 0, rho(H) <= max_i (H v)_i / v_i
+    (Collatz-Wielandt); v = 1 gives H's largest row sum (Gershgorin). Power
+    steps v <- (H + sigma I) v move v towards H's Perron vector, where the
+    ratio falls to rho(H), and for a nonnegative matrix the ratio never
+    rises along power steps (A v <= r v gives A (A v) <= r (A v)), so only
+    the last one is computed. The shift sigma = 1/4 of H's largest row sum
+    damps the eigenvalues of H at or near -rho(H) (a cyclic lag pattern is
+    often bipartite), so the ratio keeps falling; sigma > 0 also keeps
+    v > 0 when a row of H is zero. v is not rescaled: a row of H sums to at
+    most sqrt(2) |R| <= sqrt(2) N^2, so each step multiplies v by less than
+    2 N^2, far from overflow in GAMMA_STEPS steps.
+    """
+    k, n = shift_idx.shape
+    # the gathers of H, then sigma v[i] as one more row
+    idx = np.concatenate([shift_idx, back_idx, np.arange(n)[None, :]])
+    wgt = np.empty(idx.shape)
+    wgt[:k] = s_abs
+    np.take(s_abs, back_idx, out=wgt[k:-1])
+    wgt[-1] = 0.0
+    h = wgt.sum(axis=0)  # H 1, the row sums
+    sigma = 0.25 * h.max()
+    wgt[-1] = sigma
+    h += sigma
+    terms = np.empty_like(wgt)
+    for _ in range(GAMMA_STEPS):
+        v = h
+        h = np.multiply(v.take(idx, out=terms), wgt, out=terms).sum(axis=0)
+    return float((h / v).max() - sigma)
+
+
 def build_loaded_region(n: int, region: RegionSpec, delta: float = 0.01) -> LoadedRegion:
-    """Lag indices, Doppler rows and loaded-matrix sum of a region."""
+    """Lag indices, Doppler rows, loaded-matrix sum Q and gamma_x of a region.
+
+    gamma_x bounds lambda_max(Q) from above without an eigendecomposition.
+    Q is Hermitian, so lambda_max(Q) <= rho(Q) <= rho(|Q|) (Wielandt), and
+    |Q| <= G entrywise for the nonnegative G that adds the magnitudes of
+    every lag's entries, so rho(|Q|) <= rho(G) (Perron-Frobenius). G is
+    2 |R| zeta I plus the lag-structured H of _collatz_wielandt_bound, which
+    bounds rho(H). Where no two lags meet mod N (k and -k, lag 0, or
+    k = N/2), G = |Q| and the bound approaches rho(|Q|), within a few
+    percent of lambda_max(Q) on the benchmark regions. Weyl's bound
+    |R| (2 zeta + sqrt(2)) caps it (each cell adds ar + ai = S + S^H with
+    S = (1 + j) A / 2 and ||S|| = 1/sqrt(2), plus 2 zeta I), and the smaller
+    of the two is raised by a rounding margin of 4 N eps: both are exact on
+    a single cell, where the computed lambda_max(Q) can sit an ulp above them.
+    """
     delta = float(delta)
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError(f"loading margin delta must be finite and > 0, got {delta}")
@@ -153,8 +215,9 @@ def build_loaded_region(n: int, region: RegionSpec, delta: float = 0.01) -> Load
     rows = np.arange(n)
     lags = np.array(region.delays)[:, None]
     shift_idx = (rows + lags) % n
-    unshift_idx = (rows - lags) % n + n * np.arange(len(lags))[:, None]
-    doppler_rows = np.array([doppler_phase_vector(p, n) for p in region.dopplers])
+    back_idx = (rows - lags) % n
+    unshift_idx = back_idx + n * np.arange(len(lags))[:, None]
+    doppler_rows = doppler_phase_vector(np.array(region.dopplers)[:, None], n)
     # ar + ai = S + S^H with S = (1 + j) A / 2, and A holds d_p[i] at (i, (i + k) mod N),
     # so every lag writes the same row sum of S at its own positions; the lags are
     # distinct mod N, so neither write below hits a position twice
@@ -162,6 +225,11 @@ def build_loaded_region(n: int, region: RegionSpec, delta: float = 0.01) -> Load
     quad_sum = np.zeros((n, n), dtype=complex)
     quad_sum[rows, shift_idx] = s_row
     quad_sum[shift_idx, rows] += s_row.conj()
-    quad_sum.flat[::n + 1] += 2.0 * region.size * zeta  # the loading, on the diagonal in place
+    loading = 2.0 * region.size * zeta
+    quad_sum.flat[::n + 1] += loading  # on the diagonal in place
+    bound = loading + _collatz_wielandt_bound(shift_idx, back_idx, np.abs(s_row))
+    weyl = region.size * (2.0 * zeta + math.sqrt(2.0))
+    gamma_x = min(weyl, bound) * (1.0 + 4 * n * sys.float_info.epsilon)
     return LoadedRegion(n=n, region=region, zeta=zeta, shift_idx=shift_idx,
-                        unshift_idx=unshift_idx, doppler_rows=doppler_rows, quad_sum=quad_sum)
+                        unshift_idx=unshift_idx, doppler_rows=doppler_rows, quad_sum=quad_sum,
+                        gamma_x=gamma_x)

@@ -36,12 +36,16 @@ d is 0, so d^H D d = d_head^H D11 d_head >= 0, and Re(d^H D [x_k; 1]) =
 Re(x_{k+1}^H h) - Re(x_k^H h) >= 0 because x_{k+1} = exp(j arg h)
 maximizes Re(x^H h) over unit-modulus x, whatever gamma_x is.
 
-gamma_x comes from Weyl's inequality and needs no eigendecomposition. Each
-cell adds ar + ai + 2 zeta I to Q, and ar + ai = S + S^H with
-S = (1 + j) A / 2 and ||S|| = 1/sqrt(2) (A is a unitary shift-and-modulate
-kernel), so
-
-    gamma_x = |R| (2 zeta + sqrt(2)) >= lambda_max(Q).
+gamma_x needs no eigendecomposition. Q is Hermitian, so lambda_max(Q) <=
+rho(Q) <= rho(|Q|) (Wielandt), and for every positive vector v,
+rho(|Q|) <= max_i (|Q| v)_i / v_i (Collatz-Wielandt). Starting from v = 1,
+which gives Gershgorin's row-sum bound, a few power steps bring v close to
+the Perron vector of |Q| (or of a lag-structured G >= |Q| where lags meet
+mod N), and the ratio falls to within a few percent of lambda_max(Q). Weyl's
+bound |R| (2 zeta + sqrt(2)) caps it. Q is the same matrix in every outer
+iteration, so build_loaded_region computes gamma_x once per solve, and the
+solve keeps one D: the first outer iteration writes gamma_x I - Q, and every
+later one rewrites only D's border sqrt(zeta N) s (see build_uqp).
 
 The full D is in general not PSD with this gamma_x (it ignores the
 border), and need not be. A smaller gamma_x makes each PMLI step move
@@ -74,6 +78,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -99,6 +105,14 @@ class SolverConfig:
     delta: float = 0.01
 
     def __post_init__(self) -> None:
+        for name in ("n", "gamma1", "gamma2", "seed", "epsilon", "delta"):
+            value = getattr(self, name)
+            # bool is an Integral, and a JSON true must not pass as 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            # compared, not converted: int(inf) and float(10**400) raise OverflowError
+            if not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("n", "gamma1", "gamma2", "seed"):
             value = getattr(self, name)
             if int(value) != value:
@@ -110,9 +124,11 @@ class SolverConfig:
             raise ValueError(f"gamma1 must be >= 1, got {self.gamma1}")
         if self.gamma2 < 1:
             raise ValueError(f"gamma2 must be >= 1, got {self.gamma2}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("epsilon", "delta"):
             value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0):
+            if not value > 0:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
             setattr(self, name, value)
         self.region.validate_for(self.n)
@@ -186,7 +202,8 @@ class ConvergenceTrace:
     block behind row 0); to_json_dict turns the arrays into plain lists.
     A finished solve also records the code it started from, why it stopped
     ("epsilon" when the relative change of C fell to epsilon, "gamma1" at
-    the outer-iteration cap) and that last relative change of C.
+    the outer-iteration cap), that last relative change of C, and the two
+    per-solve constants of the x-step: the loading level zeta and gamma_x.
     """
 
     outer_iters: list = field(default_factory=list)
@@ -197,6 +214,8 @@ class ConvergenceTrace:
     initial_code: CodeSequence | None = None
     stop_reason: str | None = None
     final_rel_change: float | None = None
+    zeta: float | None = None
+    gamma_x: float | None = None
 
     def record(self, outer_iter: int, c_value: float, m2_value: float,
                elapsed: float, inner=None) -> None:
@@ -224,6 +243,8 @@ class ConvergenceTrace:
             "inner_objectives": self.inner_objectives,
             "stop_reason": self.stop_reason,
             "final_rel_change": self.final_rel_change,
+            "zeta": self.zeta,
+            "gamma_x": self.gamma_x,
         }
 
     def to_json_dict(self) -> dict:
@@ -354,22 +375,29 @@ def build_bx(aux: np.ndarray, loaded: LoadedRegion) -> np.ndarray:
     return bx
 
 
-def build_uqp(aux: np.ndarray, loaded: LoadedRegion) -> np.ndarray:
+def build_uqp(aux: np.ndarray, loaded: LoadedRegion, out: np.ndarray | None = None) -> np.ndarray:
     """D = gamma_x * I - B, whose pinned-tail UQP maximization is the x-step.
 
-    gamma_x = |R| (2 zeta + sqrt(2)) is Weyl's bound on lambda_max(Q), with
-    Q the top-left block of B, so D's leading N x N block is PSD. That is
-    all PMLI's monotonicity needs, because the trailing entry of [x; 1] is
-    pinned (see the module docstring); the full D need not be PSD. D is
-    build_bx's array negated in place with gamma_x added to its diagonal,
-    so no other (N+1)^2 array is built.
+    gamma_x = loaded.gamma_x bounds lambda_max(Q) from above, with Q the
+    top-left block of B, so D's leading N x N block is PSD. That is all
+    PMLI's monotonicity needs, because the trailing entry of [x; 1] is
+    pinned (see the module docstring); the full D need not be PSD.
+
+    Only the border of D depends on aux. With out=None a new D is built:
+    gamma_x I - Q, gamma_x at D[N, N], and the border sqrt(zeta N) s and its
+    conjugate. Given out, a D built earlier for the same loaded region, only
+    its 2N border entries are rewritten and out is returned; the result has
+    the bits of a fresh build.
     """
     n = loaded.n
-    gamma_x = loaded.region.size * (2.0 * loaded.zeta + math.sqrt(2.0))
-    d_mat = build_bx(aux, loaded)
-    np.negative(d_mat, out=d_mat)
-    d_mat.flat[::n + 2] += gamma_x
-    return d_mat
+    if out is None:
+        out = np.empty((n + 1, n + 1), dtype=complex)
+        np.negative(loaded.quad_sum, out=out[:n, :n])
+        out[n, n] = 0.0
+        out.reshape(-1)[::n + 2] += loaded.gamma_x  # the diagonal, through a view
+    border = np.multiply(aux, math.sqrt(loaded.zeta * n), out=out[:n, n])
+    np.conjugate(border, out=out[n, :n])
+    return out
 
 
 def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
@@ -447,24 +475,27 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
 def run(config: SolverConfig, collect_inner: bool = False, on_outer=None):
     """Execute the full cyclic solve; returns (final code, trace).
 
-    One outer iteration builds the UQP matrix from the current auxiliary
-    vectors, runs at most gamma2 inner power-method-like steps on the code
-    (stopping at an exact fixed point), then refreshes the auxiliary
-    vectors and the quartic objective at the new code. The loop stops when
-    the quartic objective's relative change falls to epsilon or after
-    gamma1 outer iterations, whichever comes first; the trace records which
-    one, the last relative change and the initial code. Pass on_outer to
-    observe the SolverState after each outer iteration.
+    One outer iteration writes the current auxiliary vector into the UQP
+    matrix (built once per solve, see build_uqp), runs at most gamma2 inner
+    power-method-like steps on the code (stopping at an exact fixed point),
+    then refreshes the auxiliary vector and the quartic objective at the
+    new code. The loop stops when the quartic objective's relative change
+    falls to epsilon or after gamma1 outer iterations, whichever comes
+    first; the trace records which one, the last relative change, the
+    initial code, zeta and gamma_x. Pass on_outer to observe the SolverState
+    after each outer iteration.
     """
     loaded = build_loaded_region(config.n, config.region, delta=config.delta)
     x = init_random_code(config.n, config.seed)
     aux, c_prev = update_aux(x, loaded)
-    trace = ConvergenceTrace(inner_objectives=[] if collect_inner else None, initial_code=x)
+    trace = ConvergenceTrace(inner_objectives=[] if collect_inner else None, initial_code=x,
+                             zeta=loaded.zeta, gamma_x=loaded.gamma_x)
     start = time.perf_counter()
     trace.record(0, c_prev, m2_objective(x, aux, loaded), 0.0)
     state = SolverState(x=x, aux=aux, loaded=loaded, trace=trace, outer_iter=0)
+    d_mat = None
     for t in range(1, config.gamma1 + 1):
-        d_mat = build_uqp(aux, loaded)
+        d_mat = build_uqp(aux, loaded, out=d_mat)
         inner = None
         if collect_inner:
             x, inner = pmli_inner(d_mat, x, config.gamma2, track_objective=True)

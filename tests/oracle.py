@@ -107,12 +107,13 @@ def pmli_inner_fixed_count(d_mat, x_start, gamma2, track_objective=False):
     return result
 
 
-def build_uqp_frobenius(aux, loaded):
+def build_uqp_frobenius(aux, loaded, out=None):
     """build_uqp with gamma_x = ||B||_F, the looser bound it first used.
 
     Both bounds keep D's leading N x N block PSD, which is all PMLI's
     monotonicity needs, and PMLI reaches the same fixed points under either;
-    the solve with the Weyl bound must stay within a stated tolerance of this.
+    the solve with the package's bound must stay within a stated tolerance of
+    this. out is ignored: D is built afresh on every call.
     """
     from afshape.solver import build_bx
 

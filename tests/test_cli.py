@@ -136,6 +136,31 @@ def test_main_non_finite_settings_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags, env, config_text", [
+    (["--seed", "-1"], {}, None),
+    (["--seed", "-1", "--dry-run"], {}, None),
+    ([], {"AFSHAPE_SEED": "-1"}, None),
+    ([], {}, '{"gamma1": Infinity}'),
+    ([], {}, '{"seed": 1e400}'),
+    ([], {}, '{"gamma2": true}'),
+    ([], {}, '{"delta": "0.1"}'),
+], ids=["seed-flag", "seed-flag-dry-run", "seed-env", "gamma1-inf", "seed-overflow",
+        "gamma2-bool", "delta-string"])
+def test_main_bad_number_exit_2(flags, env, config_text, tmp_path, monkeypatch, capsys):
+    # each is refused at the config boundary, before any output directory exists;
+    # no gamma flags here, since flags would override the file's values
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv = ["--n", "12", "--k", "1,2", "--p", "2,3", *flags, "--out", str(tmp_path / "out")]
+    if config_text is not None:
+        path = tmp_path / "run.json"
+        path.write_text(config_text)
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_aliased_region_exit_2(tmp_path, capsys):
     for flags in (["--k", "5,-26", "--p", "3"], ["--k", "5", "--p", "-16,15"]):
         assert main(["--n", "31", *flags, "--out", str(tmp_path / "out")]) == 2

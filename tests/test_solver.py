@@ -43,12 +43,13 @@ def small_config(**overrides):
 def identity_loaded_region(n):
     """Degenerate region whose single kernel is A = I (so ar = I, ai = 0), zeta = 1.
 
-    One lag-0 row and one all-ones Doppler row.
+    One lag-0 row and one all-ones Doppler row; Q = 3 I, so gamma_x = 3.
     """
     region = RegionSpec(delays=(0,), dopplers=(1,))
     rows = np.arange(n)[None, :]
     return LoadedRegion(n=n, region=region, zeta=1.0, shift_idx=rows, unshift_idx=rows,
-                        doppler_rows=np.ones((1, n), dtype=complex), quad_sum=3.0 * np.eye(n))
+                        doppler_rows=np.ones((1, n), dtype=complex), quad_sum=3.0 * np.eye(n),
+                        gamma_x=3.0)
 
 
 def reference_pairs(loaded):
@@ -87,6 +88,13 @@ def test_config_validation():
             small_config(delta=bad)
     with pytest.raises(ValueError):
         small_config(n=40, gamma1=2.5)
+    # bools, strings, non-finite integers and negative seeds, all as ValueError
+    for bad in (dict(gamma2=True), dict(n=False), dict(delta="0.1"), dict(epsilon=None),
+                dict(gamma1=np.inf), dict(seed=1e400), dict(n=np.nan), dict(seed=-1),
+                dict(epsilon=10**400), dict(gamma1=-(10**400))):
+        with pytest.raises(ValueError):
+            small_config(**bad)
+    assert small_config(gamma1=np.int64(7), seed=3.0).seed == 3
     # region must fit the code length
     with pytest.raises(ValueError):
         SolverConfig(n=4, region=RegionSpec(delays=(5,), dopplers=(1,)))
@@ -253,9 +261,9 @@ def uqp_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(uqp_cases())
 def test_build_uqp_is_psd(case):
-    # gamma_x = |R| (2 zeta + sqrt 2) must sit at or above lambda_max(Q) on every
-    # region, loading and code: PMLI pins the trailing entry of [x; 1], so its
-    # monotonicity needs only D's leading N x N block to be PSD
+    # gamma_x must sit at or above lambda_max(Q) on every region, loading and
+    # code: PMLI pins the trailing entry of [x; 1], so its monotonicity needs
+    # only D's leading N x N block to be PSD
     n, region, delta, seed = case
     loaded = build_loaded_region(n, region, delta=delta)
     x = init_random_code(n, seed)
@@ -352,7 +360,7 @@ def test_build_uqp_is_gamma_x_minus_bx():
     loaded = build_loaded_region(8, SMALL_REGION)
     s, _ = update_aux(init_random_code(8, 6), loaded)
     bx = build_bx(s, loaded)
-    gamma_x = SMALL_REGION.size * (2 * loaded.zeta + np.sqrt(2))
+    gamma_x = loaded.gamma_x
     np.testing.assert_allclose(build_uqp(s, loaded), gamma_x * np.eye(9) - bx,
                                rtol=0, atol=1e-13 * gamma_x)
     assert gamma_x >= np.linalg.eigvalsh(bx[:8, :8])[-1]
@@ -360,10 +368,59 @@ def test_build_uqp_is_gamma_x_minus_bx():
     assert gamma_x < np.linalg.eigvalsh(bx)[-1]
 
 
-def test_weyl_gamma_matches_frobenius_gamma_on_ref31(monkeypatch):
+@settings(max_examples=200, deadline=None)
+@with_examples
+@given(uqp_cases())
+def test_gamma_x_bounds_lambda_max_below_weyl(case):
+    # the Collatz-Wielandt gamma_x lies between lambda_max(Q) and Weyl's bound
+    # (both raised by the same 4 N eps rounding margin), and keeps D's leading
+    # block PSD (eigvalsh here only, never in the solve)
+    n, region, delta, seed = case
+    loaded = build_loaded_region(n, region, delta=delta)
+    weyl = region.size * (2 * loaded.zeta + np.sqrt(2)) * (1 + 4 * n * np.finfo(float).eps)
+    assert np.linalg.eigvalsh(loaded.quad_sum)[-1] <= loaded.gamma_x <= weyl
+    s, _ = update_aux(init_random_code(n, seed), loaded)
+    head = build_uqp(s, loaded)[:n, :n]
+    assert np.linalg.eigvalsh(head)[0] >= -1e-10 * np.linalg.norm(head)
+
+
+def test_gamma_x_is_near_lambda_max_on_benchmark_regions():
+    # within 3% of lambda_max(Q), where Weyl's bound sat 5-43% above it
+    for n, region, _, _ in LAG_FACTOR_EXAMPLES[:3]:
+        loaded = build_loaded_region(n, region)
+        assert loaded.gamma_x <= 1.03 * np.linalg.eigvalsh(loaded.quad_sum)[-1]
+
+
+def test_build_uqp_reuses_out_bit_for_bit():
+    for n, region, delta, seed in LAG_FACTOR_EXAMPLES:
+        loaded = build_loaded_region(n, region, delta=delta)
+        s1, _ = update_aux(init_random_code(n, seed), loaded)
+        s2, _ = update_aux(init_random_code(n, seed + 1), loaded)
+        out = build_uqp(s1, loaded)
+        assert build_uqp(s2, loaded, out=out) is out
+        assert out.tobytes() == build_uqp(s2, loaded).tobytes()
+
+
+def test_run_builds_one_uqp_matrix_per_solve(monkeypatch):
+    outs = []
+
+    def recording_build_uqp(aux, loaded, out=None):
+        outs.append(out)
+        return build_uqp(aux, loaded, out=out)
+
+    monkeypatch.setattr(solver, "build_uqp", recording_build_uqp)
+    for config in (small_config(gamma1=6, epsilon=1e-15), small_config(gamma1=4, seed=2)):
+        del outs[:]
+        _, trace = run(config)
+        assert len(outs) == trace.outer_iters[-1]
+        assert sum(out is None for out in outs) == 1 and outs[0] is None
+        assert all(out is outs[1] for out in outs[1:])
+
+
+def test_solve_matches_frobenius_gamma_on_ref31(monkeypatch):
     # both bounds keep D's leading N x N block PSD and PMLI reaches the same
     # fixed points, so the reference solve may move only by rounding: the
-    # stated tolerance
+    # stated tolerance. The oracle ignores out and builds D afresh each time
     config = SolverConfig(n=31, region=REF_REGION, gamma1=1000, gamma2=500, seed=0)
     _, trace = run(config)
     monkeypatch.setattr(solver, "build_uqp", build_uqp_frobenius)
@@ -634,8 +691,11 @@ def test_trace_json_contains_timing_and_inner():
     _, trace = run(small_config(gamma1=3, epsilon=1e-15), collect_inner=True)
     payload = trace.to_json_dict()
     assert set(payload) == {"outer_iter", "C", "m2_objective", "elapsed_ms",
-                            "inner_objectives", "stop_reason", "final_rel_change"}
+                            "inner_objectives", "stop_reason", "final_rel_change",
+                            "zeta", "gamma_x"}
     assert payload["stop_reason"] == "gamma1"
+    loaded = build_loaded_region(16, SMALL_REGION)
+    assert (payload["zeta"], payload["gamma_x"]) == (loaded.zeta, loaded.gamma_x)
     assert payload["final_rel_change"] == trace.final_rel_change
     assert len(payload["elapsed_ms"]) == len(payload["C"])
     assert len(payload["inner_objectives"]) == payload["outer_iter"][-1]
