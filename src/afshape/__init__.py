@@ -37,7 +37,6 @@ from .solver import (
     ConvergenceTrace,
     SolverConfig,
     SolverState,
-    build_bx,
     build_uqp,
     init_random_code,
     m2_objective,
@@ -66,7 +65,6 @@ __all__ = [
     "build_doppler_diag",
     "build_kernel",
     "build_loaded_region",
-    "build_bx",
     "build_shift",
     "build_uqp",
     "compare",

@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .af_core import CodeSequence, RegionSpec, af_grid
+from .af_core import CodeSequence, af_grid
 from .metrics import compare
 from .solver import CONFIG_KEYS, SolverConfig, run
 
@@ -137,9 +137,6 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return data
 
 
@@ -210,14 +207,11 @@ def resolve_config(args: argparse.Namespace, env=None) -> SolverConfig:
             merged["seed"] = int(raw)
         except ValueError:
             raise ConfigError(f"AFSHAPE_SEED must be an integer, got {raw!r}") from None
-    for required in ("n", "k", "p"):
-        if required not in merged:
-            raise ConfigError(f"missing required setting {required!r} (give a flag or a config file)")
-    delays = parse_index_set(merged.pop("k"), "k")
-    dopplers = parse_index_set(merged.pop("p"), "p")
+    for name in ("k", "p"):
+        if name in merged:
+            merged[name] = parse_index_set(merged[name], name)
     try:
-        region = RegionSpec(delays=delays, dopplers=dopplers)
-        return SolverConfig(n=merged.pop("n"), region=region, **merged)
+        return SolverConfig.from_json_dict(merged)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

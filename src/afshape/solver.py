@@ -51,27 +51,26 @@ The full D is in general not PSD with this gamma_x (it ignores the
 border), and need not be. A smaller gamma_x makes each PMLI step move
 further, so fewer steps reach a fixed point.
 
-Each full cycle therefore never increases M2. Expanding the squares with
-||u|| = 1 gives, per loaded matrix,
+Each full cycle therefore never increases M2. At u = u(x) the u-step's
+closed form leaves, per loaded matrix,
 
-    ||R x - sqrt(zeta N) u||^2 = x^H L x + zeta N - 2 sqrt(zeta N) Re(x^H R u),
+    ||R x - sqrt(zeta N) u||^2 = (||R x|| - sqrt(zeta N))^2 = (sqrt(q) - sqrt(zeta N))^2,
 
-with x^H L x = zeta N + Re r[k, p] for the ar half and zeta N - Im r[k, p]
-for the ai half. The u-step therefore needs only the K lag shifts and the
-P Doppler rows of the LoadedRegion (never one row per cell: see
-update_aux), and summing the terms gives
-
-    M2 = x^H Q x + 2 |R| zeta N - 2 sqrt(zeta N) Re(x^H s)
-
-with Q the cached sum of all loaded matrices, so M2 comes from B itself
-and needs no pass over the tables.
+with q = x^H L x = zeta N + Re r[k, p] for the ar half and zeta N - Im r[k, p]
+for the ai half. The u-step needs only the K lag shifts and the P Doppler
+rows of the LoadedRegion to form every r (never one row per cell: see
+update_aux), and it already takes sqrt(q) for its weights, so it returns
+M2(x, u(x)) as the sum of these terms, each written as
+(q - zeta N) / (sqrt(q) + sqrt(zeta N)) squared so that nothing cancels.
+m2_objective evaluates M2 at any (x, u) from B itself, as
+x^H Q x + 2 |R| zeta N - 2 sqrt(zeta N) Re(x^H s).
 
 The same pass yields the quartic C = sum |r[k, p]|^2, so the u-step also
 returns C at the new code. C is used once per outer iteration for the
 stopping rule |C_t - C_{t-1}| <= epsilon * C_{t-1} and recorded, together
-with M2 and wall time, in a ConvergenceTrace, which also records why the
-solve stopped. With an identical config and seed the solve is fully
-deterministic.
+with the u-step's M2 and wall time, in a ConvergenceTrace, which also
+records why the solve stopped. With an identical config and seed the solve
+is fully deterministic.
 """
 
 from __future__ import annotations
@@ -171,35 +170,15 @@ def _indented_number_list(values: list, pad: str) -> str:
     return f"[\n{item_pad}{body}\n{pad}]"
 
 
-def _indented_block(block: np.ndarray, pad: str) -> str:
-    """_indented_number_list(block.tolist(), pad) for a float64 inner block.
-
-    A block that stopped at a fixed point ends in a long run of one value,
-    which is formatted once and repeated. The run is found on the bits, so
-    -0.0 after 0.0 and NaN tails keep their own text.
-    """
-    bits = block.view(np.uint64)
-    if bits.size == 0:
-        return "[]"
-    differs = np.flatnonzero(bits != bits[-1])
-    start = int(differs[-1]) + 1 if differs.size else 0
-    text = _indented_number_list(block[:start + 1].tolist(), pad)
-    repeats = bits.size - 1 - start
-    if not repeats:
-        return text
-    close = len(pad) + 2  # "\n" + pad + "]"
-    item = ",\n" + pad + "  " + json.dumps(block[-1:].tolist())[1:-1]
-    return text[:-close] + item * repeats + text[-close:]
-
-
 @dataclass(eq=False)
 class ConvergenceTrace:
     """Per-outer-iteration record of one solve.
 
     Row 0 describes the initial code (before any iteration). When the
     inner trace is collected, inner_objectives[i] holds the UQP objective
-    values of outer iteration i + 1 as one float64 array (there is no inner
-    block behind row 0); to_json_dict turns the arrays into plain lists.
+    of every iterate outer iteration i + 1 visited, as one float64 array of
+    steps + 1 values (there is no inner block behind row 0); to_json_dict
+    turns the arrays into plain lists.
     A finished solve also records the code it started from, why it stopped
     ("epsilon" when the relative change of C fell to epsilon, "gamma1" at
     the outer-iteration cap), that last relative change of C, and the two
@@ -257,11 +236,10 @@ class ConvergenceTrace:
         """Write json.dumps(self.to_json_dict(), indent=2) + "\n", byte for byte.
 
         indent=2 selects json's pure-Python encoder, which is slow on the
-        inner trace (gamma2 + 1 floats per outer iteration). Here every flat
-        number list goes through the C encoder and is re-indented by
-        replacing its ", " separators (no number's text contains one), and
-        the inner blocks are encoded and written one at a time, each with
-        its trailing run of bitwise-equal values formatted once.
+        inner trace (steps + 1 floats per outer iteration). Here every flat
+        number list, each inner block included, goes through the C encoder
+        and is re-indented by replacing its ", " separators (no number's
+        text contains one); the inner blocks are written one at a time.
         """
         with open(path, "w") as fh:
             sep = "{\n  "
@@ -272,7 +250,7 @@ class ConvergenceTrace:
                     fh.write("[")
                     block_sep = "\n    "
                     for block in value:
-                        fh.write(block_sep + _indented_block(block, "    "))
+                        fh.write(block_sep + _indented_number_list(block.tolist(), "    "))
                         block_sep = ",\n    "
                     fh.write("\n  ]")
                 elif isinstance(value, list):
@@ -299,13 +277,16 @@ def init_random_code(n: int, seed: int) -> CodeSequence:
     return CodeSequence(phases=rng.uniform(0.0, 2.0 * np.pi, n))
 
 
-def update_aux(x: CodeSequence, loaded: LoadedRegion) -> tuple[np.ndarray, float]:
-    """Closed-form u-step for fixed x: (s, C) with s = sum over cells of R u^r + R u^i.
+def update_aux(x: CodeSequence, loaded: LoadedRegion) -> tuple[np.ndarray, float, float]:
+    """Closed-form u-step for fixed x: (s, C, M2) with s = sum over cells of R u^r + R u^i.
 
     u = R x / ||R x|| maximizes Re{x^H R u} (the u-part of M2 with its sign
     flipped) over the unit sphere, and R u = L x / sqrt(x^H L x), so s weights
     each cell's A x and A^H x by 1 / sqrt(x^H L x). C = sum |r|^2 is the
-    region energy at x, from the r = x^H A x the weights are built on.
+    region energy at x, from the r = x^H A x the weights are built on, and
+    M2 = M2(x, u(x)) = sum (sqrt(q) - sqrt(zeta N))^2 over both halves of
+    every cell, from the same roots sqrt(q) of q = x^H L x (see the module
+    docstring); it equals m2_objective(x, s, loaded) up to rounding.
 
     Nothing is formed per cell. With F the (P, N) Doppler rows and
     xs[k] = x[(i + k) mod N] the K shifted copies of x,
@@ -332,8 +313,15 @@ def update_aux(x: CodeSequence, loaded: LoadedRegion) -> tuple[np.ndarray, float
         raise RuntimeError(f"loaded matrices are not positive definite at this code: "
                            f"min x^H L x = {min(q_r.min(), q_i.min()):.6e} "
                            f"at loading level {loaded.zeta:.6e}")
-    w_r = 1.0 / np.sqrt(q_r)
-    w_i = 1.0 / np.sqrt(q_i)
+    root_r = np.sqrt(q_r)
+    root_i = np.sqrt(q_i)
+    w_r = 1.0 / root_r
+    w_i = 1.0 / root_i
+    # sqrt(q) - sqrt(zeta N) = (q - zeta N) / (sqrt(q) + sqrt(zeta N)), with q - zeta N = +-r
+    root_zn = math.sqrt(zn)
+    gap_r = r.real / (root_r + root_zn)
+    gap_i = r.imag / (root_i + root_zn)
+    m2 = float(np.vdot(gap_r, gap_r) + np.vdot(gap_i, gap_i))
     # L_r x = (A x + A^H x) / 2 + zeta x and L_i x = j (A x - A^H x) / 2 + zeta x
     weights = (0.5 * w_r + 0.5j * w_i) @ rows
     # both halves in place in the two (K, N) arrays: xs * W, plus conj(W) * x moved back
@@ -342,37 +330,22 @@ def update_aux(x: CodeSequence, loaded: LoadedRegion) -> tuple[np.ndarray, float
     terms += np.multiply(weights, values, out=weights).take(loaded.unshift_idx)
     s = terms.sum(axis=0)
     s += loaded.zeta * (w_r.sum() + w_i.sum()) * values
-    return s, float(np.vdot(r, r).real)
+    return s, float(np.vdot(r, r).real), m2
 
 
 def m2_objective(x: CodeSequence, aux: np.ndarray, loaded: LoadedRegion) -> float:
     """Surrogate objective x^H quad_sum x + 2 |R| zeta N - 2 sqrt(zeta N) Re(x^H s).
 
-    This is [x; 1]^H B [x; 1] plus build_bx's constant, with aux = s the
-    summed auxiliary vector of update_aux.
+    This is [x; 1]^H B [x; 1] plus the constant 2 |R| zeta N, with aux = s
+    the summed auxiliary vector of any u (update_aux's for u = u(x)). The
+    solve does not call it: at u = u(x) the u-step returns the same value
+    without the cancellation between terms of size 2 |R| zeta N.
     """
     values = x.values
     zn = loaded.zeta * loaded.n
     quad = np.vdot(values, loaded.quad_sum @ values).real
     cross = np.vdot(values, aux).real
     return float(quad + 2 * loaded.region.size * zn - 2.0 * math.sqrt(zn) * cross)
-
-
-def build_bx(aux: np.ndarray, loaded: LoadedRegion) -> np.ndarray:
-    """Hermitian (N+1) x (N+1) form B with [x; 1]^H B [x; 1] = M2 - const.
-
-    The constant is 2 * region.size * zeta * N (from the unit norms of the
-    auxiliary vectors and ||x||^2 = N). The top-left block is the cached
-    region-wide sum of loaded matrices; the border is -sqrt(zeta N) s, with
-    aux = s the summed auxiliary vector of update_aux.
-    """
-    n = loaded.n
-    linear = -math.sqrt(loaded.zeta * n) * aux
-    bx = np.zeros((n + 1, n + 1), dtype=complex)
-    bx[:n, :n] = loaded.quad_sum
-    bx[:n, n] = linear
-    bx[n, :n] = np.conj(linear)
-    return bx
 
 
 def build_uqp(aux: np.ndarray, loaded: LoadedRegion, out: np.ndarray | None = None) -> np.ndarray:
@@ -420,8 +393,10 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
     0.0 and never matches NaN.
 
     With track_objective=True the return value is (code, objectives) where
-    objectives holds the UQP objective of every iterate gamma2 steps would
-    visit (gamma2 + 1 values; after a fixed point they repeat the last one).
+    objectives holds the UQP objective of every iterate visited, from
+    x_start to the returned code: steps + 1 values for the steps taken. A
+    stop at a fixed point ends the array with two equal values, and every
+    later value of a gamma2-step run would repeat them.
 
     At small N numpy's per-call overhead outweighs the arithmetic, so the
     loop allocates nothing per step: the lifted vector, D [x; 1] and two
@@ -467,7 +442,6 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
         np.sin(phases, out=sin_part)
         np.dot(d_mat, xbar, out=y)
         objectives.append(float(np.vdot(xbar, y).real))
-        objectives += objectives[-1:] * (gamma2 + 1 - len(objectives))
         return result, np.asarray(objectives)
     return result
 
@@ -478,8 +452,8 @@ def run(config: SolverConfig, collect_inner: bool = False, on_outer=None):
     One outer iteration writes the current auxiliary vector into the UQP
     matrix (built once per solve, see build_uqp), runs at most gamma2 inner
     power-method-like steps on the code (stopping at an exact fixed point),
-    then refreshes the auxiliary vector and the quartic objective at the
-    new code. The loop stops when the quartic objective's relative change
+    then refreshes the auxiliary vector, the quartic objective and M2 at
+    the new code. The loop stops when the quartic objective's relative change
     falls to epsilon or after gamma1 outer iterations, whichever comes
     first; the trace records which one, the last relative change, the
     initial code, zeta and gamma_x. Pass on_outer to observe the SolverState
@@ -487,11 +461,11 @@ def run(config: SolverConfig, collect_inner: bool = False, on_outer=None):
     """
     loaded = build_loaded_region(config.n, config.region, delta=config.delta)
     x = init_random_code(config.n, config.seed)
-    aux, c_prev = update_aux(x, loaded)
+    aux, c_prev, m2 = update_aux(x, loaded)
     trace = ConvergenceTrace(inner_objectives=[] if collect_inner else None, initial_code=x,
                              zeta=loaded.zeta, gamma_x=loaded.gamma_x)
     start = time.perf_counter()
-    trace.record(0, c_prev, m2_objective(x, aux, loaded), 0.0)
+    trace.record(0, c_prev, m2, 0.0)
     state = SolverState(x=x, aux=aux, loaded=loaded, trace=trace, outer_iter=0)
     d_mat = None
     for t in range(1, config.gamma1 + 1):
@@ -501,9 +475,9 @@ def run(config: SolverConfig, collect_inner: bool = False, on_outer=None):
             x, inner = pmli_inner(d_mat, x, config.gamma2, track_objective=True)
         else:
             x = pmli_inner(d_mat, x, config.gamma2)
-        aux, c_now = update_aux(x, loaded)
+        aux, c_now, m2 = update_aux(x, loaded)
         elapsed = (time.perf_counter() - start) * 1e3
-        trace.record(t, c_now, m2_objective(x, aux, loaded), elapsed, inner)
+        trace.record(t, c_now, m2, elapsed, inner)
         state.x = x
         state.aux = aux
         state.outer_iter = t

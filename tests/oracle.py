@@ -7,6 +7,7 @@ vectorized paths inside the package.
 
 import cmath
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +72,10 @@ def exhaustive_uqp_optimum(d_mat, levels):
 def pmli_inner_fixed_count(d_mat, x_start, gamma2, track_objective=False):
     """Fixed-count PMLI: always gamma2 steps, with no fixed-point exit.
 
-    afshape.solver.pmli_inner must return the same bits: the same code and,
-    with track_objective=True, the same gamma2 + 1 objectives.
+    afshape.solver.pmli_inner must return the same code, bit for bit. With
+    track_objective=True this returns all gamma2 + 1 objectives; the
+    package's steps + 1 values must be their prefix, bit for bit, and every
+    later value here must repeat the package's last one.
     """
     # imported here so the rest of the oracle loads without the package
     from afshape import CodeSequence
@@ -107,6 +110,23 @@ def pmli_inner_fixed_count(d_mat, x_start, gamma2, track_objective=False):
     return result
 
 
+def build_bx(aux, loaded):
+    """Hermitian (N+1) x (N+1) form B with [x; 1]^H B [x; 1] = M2 - const.
+
+    The constant is 2 * region.size * zeta * N (from the unit norms of the
+    auxiliary vectors and ||x||^2 = N). The top-left block is the cached
+    region-wide sum of loaded matrices; the border is -sqrt(zeta N) s, with
+    aux = s the summed auxiliary vector of afshape.solver.update_aux.
+    """
+    n = loaded.n
+    linear = -math.sqrt(loaded.zeta * n) * aux
+    bx = np.zeros((n + 1, n + 1), dtype=complex)
+    bx[:n, :n] = loaded.quad_sum
+    bx[:n, n] = linear
+    bx[n, :n] = np.conj(linear)
+    return bx
+
+
 def build_uqp_frobenius(aux, loaded, out=None):
     """build_uqp with gamma_x = ||B||_F, the looser bound it first used.
 
@@ -115,8 +135,6 @@ def build_uqp_frobenius(aux, loaded, out=None):
     the solve with the package's bound must stay within a stated tolerance of
     this. out is ignored: D is built afresh on every call.
     """
-    from afshape.solver import build_bx
-
     bx = build_bx(aux, loaded)
     return float(np.linalg.norm(bx)) * np.eye(bx.shape[0]) - bx
 

@@ -66,7 +66,14 @@ def recorded_trace(inner_blocks, **attrs):
                    stop_reason="epsilon", final_rel_change=math.inf),
     recorded_trace([[3.0], [1e308, 0.1, 1.0 / 3.0]], stop_reason="gamma1",
                    final_rel_change=math.nan),
-], ids=["no-inner", "empty-inner", "empty-trace", "nan-inf-rows", "short-rows"])
+    # blocks that end at a fixed point repeat their last value: runs of one
+    # value, -0.0 next to 0.0, and NaN tails must keep their own text
+    recorded_trace([[2.0, 2.0, 2.0, 2.0], [7.5], [-1.0, -1.0]]),
+    recorded_trace([[1.0, -0.0, -0.0, 0.0, 0.0, 0.0], [0.0, -0.0], [-0.0, 0.0]]),
+    recorded_trace([[4.0, math.nan, math.nan, math.nan], [math.nan, 1.0, math.inf, math.inf],
+                    [math.nan, math.nan]]),
+], ids=["no-inner", "empty-inner", "empty-trace", "nan-inf-rows", "short-rows",
+        "one-value", "zero-after-negative-zero", "nan-tail"])
 def test_hand_built_trace_json_matches_reference(trace, tmp_path):
     assert_same_json(trace, tmp_path)
 

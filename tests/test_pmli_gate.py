@@ -8,6 +8,7 @@ machine, so no stored hash (which would depend on the BLAS build) is used.
 
 import json
 
+import numpy as np
 import pytest
 
 from afshape import RegionSpec, SolverConfig, solver
@@ -59,9 +60,19 @@ def test_early_exit_outputs_match_fixed_count_loop(name, tmp_path, monkeypatch):
     if verbose:
         new, ref = (json.loads((tmp_path / side / "trace.json").read_text())
                     for side in ("new", "ref"))
+        new_blocks, ref_blocks = (payload.pop("inner_objectives") for payload in (new, ref))
         for payload in (new, ref):
             del payload["elapsed_ms"]
         assert new == ref
+        # the early-exit blocks stop at the steps taken; the fixed-count loop's
+        # values match them bit for bit and then repeat the last one
+        assert len(new_blocks) == len(ref_blocks)
+        pairs = list(zip(new_blocks, ref_blocks))
+        assert any(len(block) < len(ref_block) for block, ref_block in pairs)
+        for block, ref_block in pairs:
+            head, tail = np.array(ref_block[:len(block)]), np.array(ref_block[len(block):])
+            assert np.array(block).tobytes() == head.tobytes()
+            assert tail.tobytes() == np.repeat(head[-1:], tail.size).tobytes()
     new, ref = (json.loads((tmp_path / side / "manifest.json").read_text())
                 for side in ("new", "ref"))
     for key in ("final_c", "suppression_db", "stop_reason", "final_rel_change"):

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from afshape import (
     CodeSequence,
-    ConvergenceTrace,
     LoadedRegion,
     RegionSpec,
     SolverConfig,
-    build_bx,
     build_kernel,
     build_loaded_region,
     build_uqp,
@@ -26,8 +24,8 @@ from afshape import (
     update_aux,
 )
 from afshape import solver
-from oracle import (build_uqp_frobenius, pmli_inner_fixed_count, quadratic_form, random_psd,
-                    trace_to_json)
+from oracle import (build_bx, build_uqp_frobenius, pmli_inner_fixed_count, quadratic_form,
+                    random_psd)
 
 SMALL_REGION = RegionSpec(delays=(1, 2), dopplers=(2, 3, -3))
 REF_REGION = RegionSpec(delays=(5, 6, 7), dopplers=(-15, -14, -13, 11, 12, 13, 14))
@@ -132,7 +130,7 @@ def test_update_aux_unit_norms():
     # sum(||R_r x|| + ||R_i x||) only when every u is the unit maximizer
     loaded = build_loaded_region(8, RegionSpec(delays=(1, 3), dopplers=(-2, 2)))
     x = init_random_code(8, 0)
-    s, _ = update_aux(x, loaded)
+    s, _, _ = update_aux(x, loaded)
     assert s.shape == (8,)
     bound = sum(np.linalg.norm(pair.ar_root @ x.values) + np.linalg.norm(pair.ai_root @ x.values)
                 for pair in reference_pairs(loaded))
@@ -144,7 +142,7 @@ def test_update_aux_identity_roots_give_normalized_code():
     n = 6
     loaded = identity_loaded_region(n)
     x = init_random_code(n, 2)
-    s, _ = update_aux(x, loaded)
+    s, _, _ = update_aux(x, loaded)
     np.testing.assert_allclose(s, (np.sqrt(2.0) + 1.0) * x.values / np.sqrt(n), atol=1e-12)
 
 
@@ -155,7 +153,7 @@ def test_update_aux_beats_random_unit_vectors():
     loaded = build_loaded_region(n, RegionSpec(delays=(1,), dopplers=(2,)))
     (pair,) = reference_pairs(loaded)
     x = init_random_code(n, 3)
-    s, _ = update_aux(x, loaded)
+    s, _, _ = update_aux(x, loaded)
     best = np.vdot(x.values, s).real
     products = (pair.ar_root @ x.values, pair.ai_root @ x.values)
     rng = np.random.default_rng(17)
@@ -181,13 +179,14 @@ def test_update_aux_c_matches_eval_objective():
         loaded = build_loaded_region(n, region)
         for _ in range(5):
             x = CodeSequence(phases=rng.uniform(0, 2 * np.pi, n))
-            _, c = update_aux(x, loaded)
+            _, c, _ = update_aux(x, loaded)
             assert isinstance(c, float)
             assert abs(c - eval_objective(x, region)) <= 1e-12 * eval_objective(x, region)
 
 
 def test_root_free_path_matches_root_reference():
-    # sum R u, M2 and the border of B against explicit Hermitian roots
+    # sum R u, M2 (the u-step's closed form and m2_objective) and the border
+    # of B against explicit Hermitian roots
     rng = np.random.default_rng(53)
     for n, region in ((8, RegionSpec(delays=(1, 2), dopplers=(-2, 3))),
                       (13, RegionSpec(delays=(-6, 4), dopplers=(-7, 0, 5))),
@@ -197,7 +196,7 @@ def test_root_free_path_matches_root_reference():
         scale = np.sqrt(loaded.zeta * n)
         for _ in range(4):
             x = CodeSequence(phases=rng.uniform(0, 2 * np.pi, n))
-            aux, _ = update_aux(x, loaded)
+            aux, _, m2 = update_aux(x, loaded)
             ref_r, ref_i = reference_aux(x, pairs)
             ref_s = ref_r.sum(axis=0) + ref_i.sum(axis=0)
             assert np.linalg.norm(aux - ref_s) <= 1e-12 * np.linalg.norm(ref_s)
@@ -207,6 +206,7 @@ def test_root_free_path_matches_root_reference():
                     rx = root @ x.values
                     ref_m2 += np.linalg.norm(rx - scale * rx / np.linalg.norm(rx)) ** 2
             assert abs(m2_objective(x, aux, loaded) - ref_m2) <= 1e-12 * ref_m2
+            assert abs(m2 - ref_m2) <= 1e-12 * ref_m2
             border = build_bx(aux, loaded)[:n, n]
             ref_border = -scale * ref_s
             assert np.linalg.norm(border - ref_border) <= 1e-12 * np.linalg.norm(ref_border)
@@ -218,7 +218,7 @@ def test_build_bx_structure():
     n = 8
     loaded = build_loaded_region(n, RegionSpec(delays=(1, 2), dopplers=(-2, 3)))
     x = init_random_code(n, 4)
-    s, _ = update_aux(x, loaded)
+    s, _, _ = update_aux(x, loaded)
     bx = build_bx(s, loaded)
     assert bx.shape == (n + 1, n + 1)
     np.testing.assert_allclose(bx, bx.conj().T, atol=1e-13)
@@ -235,7 +235,7 @@ def test_m2_equals_lifted_quadratic_plus_constant():
     region = RegionSpec(delays=(1, 2), dopplers=(-2, 3))
     loaded = build_loaded_region(n, region)
     x = init_random_code(n, 5)
-    aux, _ = update_aux(x, loaded)
+    aux, _, _ = update_aux(x, loaded)
     bx = build_bx(aux, loaded)
     lifted = np.concatenate([x.values, [1.0]])
     direct = m2_objective(x, aux, loaded)
@@ -267,7 +267,7 @@ def test_build_uqp_is_psd(case):
     n, region, delta, seed = case
     loaded = build_loaded_region(n, region, delta=delta)
     x = init_random_code(n, seed)
-    s, _ = update_aux(x, loaded)
+    s, _, _ = update_aux(x, loaded)
     d_mat = build_uqp(s, loaded)
     assert np.array_equal(d_mat, d_mat.conj().T)
     head = d_mat[:n, :n]
@@ -344,7 +344,7 @@ def test_update_aux_matches_root_reference_on_random_regions(case):
     n, region, delta, seed = case
     loaded = build_loaded_region(n, region, delta=delta)
     x = init_random_code(n, seed)
-    s, c = update_aux(x, loaded)
+    s, c, _ = update_aux(x, loaded)
     ref_r, ref_i = reference_aux(x, reference_pairs(loaded))
     ref_s = ref_r.sum(axis=0) + ref_i.sum(axis=0)
     assert np.linalg.norm(s - ref_s) <= 1e-12 * np.linalg.norm(ref_s)
@@ -358,7 +358,7 @@ def test_update_aux_matches_root_reference_on_random_regions(case):
 
 def test_build_uqp_is_gamma_x_minus_bx():
     loaded = build_loaded_region(8, SMALL_REGION)
-    s, _ = update_aux(init_random_code(8, 6), loaded)
+    s, _, _ = update_aux(init_random_code(8, 6), loaded)
     bx = build_bx(s, loaded)
     gamma_x = loaded.gamma_x
     np.testing.assert_allclose(build_uqp(s, loaded), gamma_x * np.eye(9) - bx,
@@ -379,7 +379,7 @@ def test_gamma_x_bounds_lambda_max_below_weyl(case):
     loaded = build_loaded_region(n, region, delta=delta)
     weyl = region.size * (2 * loaded.zeta + np.sqrt(2)) * (1 + 4 * n * np.finfo(float).eps)
     assert np.linalg.eigvalsh(loaded.quad_sum)[-1] <= loaded.gamma_x <= weyl
-    s, _ = update_aux(init_random_code(n, seed), loaded)
+    s, _, _ = update_aux(init_random_code(n, seed), loaded)
     head = build_uqp(s, loaded)[:n, :n]
     assert np.linalg.eigvalsh(head)[0] >= -1e-10 * np.linalg.norm(head)
 
@@ -394,8 +394,8 @@ def test_gamma_x_is_near_lambda_max_on_benchmark_regions():
 def test_build_uqp_reuses_out_bit_for_bit():
     for n, region, delta, seed in LAG_FACTOR_EXAMPLES:
         loaded = build_loaded_region(n, region, delta=delta)
-        s1, _ = update_aux(init_random_code(n, seed), loaded)
-        s2, _ = update_aux(init_random_code(n, seed + 1), loaded)
+        s1, _, _ = update_aux(init_random_code(n, seed), loaded)
+        s2, _, _ = update_aux(init_random_code(n, seed + 1), loaded)
         out = build_uqp(s1, loaded)
         assert build_uqp(s2, loaded, out=out) is out
         assert out.tobytes() == build_uqp(s2, loaded).tobytes()
@@ -503,7 +503,7 @@ def test_pmli_zero_head_row_keeps_phase_and_still_stops(pmli_steps):
     assert result.phases.tobytes() == pmli_inner_fixed_count(d_mat, x, gamma2).phases.tobytes()
 
 
-def test_pmli_tracked_early_stop_pads_objectives(pmli_steps):
+def test_pmli_tracked_early_stop_returns_steps_plus_one_objectives(pmli_steps):
     rng = np.random.default_rng(37)
     n = 7
     d_mat = random_psd(n + 1, rng, scale=2.0)
@@ -512,10 +512,12 @@ def test_pmli_tracked_early_stop_pads_objectives(pmli_steps):
     result, objectives = pmli_inner(d_mat, x, gamma2, track_objective=True)
     steps = pmli_steps.steps
     assert 1 < steps < gamma2
-    assert objectives.shape == (gamma2 + 1,)
-    assert np.all(objectives[steps - 1:] == objectives[-1])  # constant tail
+    assert objectives.shape == (steps + 1,)
+    assert objectives[-1] == objectives[-2]  # the fixed-point step changed nothing
+    # the fixed-count loop's values: the same bits over the steps taken, then repeats
     ref_result, ref_objectives = pmli_inner_fixed_count(d_mat, x, gamma2, track_objective=True)
-    assert objectives.tobytes() == ref_objectives.tobytes()
+    assert objectives.tobytes() == ref_objectives[:steps + 1].tobytes()
+    assert np.all(ref_objectives[steps + 1:] == objectives[-1])
     assert result.phases.tobytes() == ref_result.phases.tobytes()
 
 
@@ -613,18 +615,42 @@ def test_run_quartic_chain_agrees_at_every_outer_iteration():
     SolverConfig(n=64, region=WIDE_REGION, gamma1=8, gamma2=100, seed=0),
 ], ids=["ref31", "wide64"])
 def test_run_c_matches_eval_objective_at_every_outer_iteration(config):
-    # the loop takes C from the u-step; the FFT evaluator stays the reference
+    # the loop takes C and M2 from the u-step; the FFT evaluator and
+    # m2_objective stay the references. m2_objective cancels terms of size
+    # 2 |R| zeta N (about 1,300 on ref31, where late rows have M2 below 1),
+    # so M2 is compared at that scale
+    loaded = build_loaded_region(config.n, config.region, delta=config.delta)
+    m2_scale = 2 * config.region.size * loaded.zeta * config.n
     checked = []
+
+    def check_m2(x, m2):
+        s, _, _ = update_aux(x, loaded)
+        assert abs(m2 - m2_objective(x, s, loaded)) <= 1e-12 * m2_scale
 
     def check(state):
         c = state.trace.c_values[-1]
         assert abs(c - eval_objective(state.x, config.region)) <= 1e-12 * c
+        check_m2(state.x, state.trace.m2_values[-1])
         checked.append(state.outer_iter)
 
     _, trace = run(config, on_outer=check)
     c0 = eval_objective(trace.initial_code, config.region)
     assert abs(trace.c_values[0] - c0) <= 1e-12 * c0
+    check_m2(trace.initial_code, trace.m2_values[0])
     assert checked == trace.outer_iters[1:]
+
+
+def test_run_makes_no_m2_objective_call(monkeypatch):
+    calls = []
+
+    def counting_m2_objective(*args):
+        calls.append(args)
+        return m2_objective(*args)
+
+    monkeypatch.setattr(solver, "m2_objective", counting_m2_objective)
+    _, trace = run(small_config(gamma1=5, epsilon=1e-15), collect_inner=True)
+    assert trace.outer_iters[-1] == 5
+    assert calls == []
 
 
 def test_run_takes_no_eigendecomposition(monkeypatch):
@@ -699,19 +725,3 @@ def test_trace_json_contains_timing_and_inner():
     assert payload["final_rel_change"] == trace.final_rel_change
     assert len(payload["elapsed_ms"]) == len(payload["C"])
     assert len(payload["inner_objectives"]) == payload["outer_iter"][-1]
-
-
-@pytest.mark.parametrize("blocks", [
-    [[2.0, 2.0, 2.0, 2.0], [7.5], [-1.0, -1.0]],
-    [[1.0, -0.0, -0.0, 0.0, 0.0, 0.0], [0.0, -0.0], [-0.0, 0.0]],
-    [[4.0, np.nan, np.nan, np.nan], [np.nan, 1.0, np.inf, np.inf], [np.nan, np.nan]],
-], ids=["one-value", "zero-after-negative-zero", "nan-tail"])
-def test_trace_json_repeated_tails_match_reference(blocks, tmp_path):
-    # write_json formats each block's trailing run of bitwise-equal values once;
-    # the bytes must stay those of json.dumps(indent=2)
-    trace = ConvergenceTrace(inner_objectives=[])
-    for t, inner in enumerate([None] + blocks):
-        trace.record(t, 1.0 / (t + 1), 2.0 / (t + 1), 0.5 * t, inner)
-    trace.write_json(tmp_path / "new.json")
-    trace_to_json(trace, tmp_path / "ref.json")
-    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
