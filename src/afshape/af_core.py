@@ -20,7 +20,6 @@ mainlobe at 0 dB; exact zeros are floored at -100 dB.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -200,21 +199,18 @@ def _lag_spectra(values: np.ndarray, lags) -> np.ndarray:
     return np.fft.fft(np.conj(values) * values[gather], axis=1)
 
 
-@lru_cache(maxsize=256)
-def _validate_region(region: RegionSpec, n: int) -> None:
-    """region.validate_for(n), run once per (region, n).
+def _region_cells(x: CodeSequence, region: RegionSpec) -> np.ndarray:
+    """The region's (K, P) cells, each of magnitude |r[k, p]|, in region.pairs() order.
 
-    RegionSpec is frozen, so a pair that passed once always passes; a pair
-    that raises is not cached and raises again on every call.
+    The region is checked against the code length; only its lag rows are transformed.
     """
-    region.validate_for(n)
+    region.validate_for(x.n)
+    return _lag_spectra(x.values, region.delays)[:, np.mod(region.dopplers, x.n)]
 
 
 def eval_objective(x: CodeSequence, region: RegionSpec) -> float:
     """Suppression-region energy: sum over (k, p) in the region of |r[k, p]|^2."""
-    _validate_region(region, x.n)
-    spectra = _lag_spectra(x.values, region.delays)
-    cells = spectra[:, np.mod(region.dopplers, x.n)]
+    cells = _region_cells(x, region)
     return float(np.sum(cells.real ** 2 + cells.imag ** 2))
 
 

@@ -311,16 +311,14 @@ def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> RunMa
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_merge_negative_values(argv))
-    if args.verbose:
-        logging.basicConfig(level=logging.INFO, stream=sys.stderr,
-                            format="%(name)s %(message)s")
     try:
-        config = resolve_config(args)
+        config, args = parse_config(argv)
     except ConfigError as exc:
         print(f"afshape: config error: {exc}", file=sys.stderr)
         return 2
+    if args.verbose:
+        logging.basicConfig(level=logging.INFO, stream=sys.stderr,
+                            format="%(name)s %(message)s")
     if args.dry_run:
         print(json.dumps(config.to_json_dict(), indent=2))
         return 0

@@ -4,7 +4,8 @@ All levels are in dB referenced to the mainlobe (r[0, 0] = N maps to
 0 dB), so every level of a unimodular code is <= 0 dB. Region statistics
 are taken over the per-(k, p) bins of the suppression region; the global
 peak sidelobe scans the full lag/Doppler grid with only the mainlobe cell
-excluded.
+excluded. A report transforms each code's region once, for its levels and
+its energy alike.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from .af_core import (
     AFGrid,
     CodeSequence,
     RegionSpec,
-    _lag_spectra,
+    _region_cells,
     af_grid,
-    eval_objective,
     to_db,
 )
 
@@ -76,28 +76,27 @@ class ComparisonReport:
 
 def region_levels_db(x: CodeSequence, region: RegionSpec) -> list:
     """Per-(k, p) levels 20*log10(|r|/N), in region.pairs() order."""
-    region.validate_for(x.n)
-    spectra = _lag_spectra(x.values, region.delays)
-    levels = to_db(np.abs(spectra[:, np.mod(region.dopplers, x.n)]), float(x.n))
+    levels = to_db(np.abs(_region_cells(x, region)), float(x.n))
     return [(k, p, float(level)) for (k, p), level in zip(region.pairs(), levels.flat)]
 
 
 def report(x: CodeSequence, region: RegionSpec) -> RegionReport:
     """Evaluate one code: region energy, average/peak level, global peak."""
-    return _report(x, region, region_levels_db(x, region))
+    return _levels_and_report(x, region, None)[1]
 
 
-def _report(x: CodeSequence, region: RegionSpec, bin_levels: list,
-            grid: AFGrid | None = None) -> RegionReport:
-    """report() from region_levels_db(x, region) and, if at hand, af_grid(x)."""
-    levels = [level for _, _, level in bin_levels]
+def _levels_and_report(x: CodeSequence, region: RegionSpec,
+                       grid: AFGrid | None) -> tuple[np.ndarray, RegionReport]:
+    """region_levels_db's flat dB levels and report(x, region); grid is af_grid(x) if at hand."""
+    cells = _region_cells(x, region)
+    levels = to_db(np.abs(cells), float(x.n)).ravel()
     sidelobes = (af_grid(x) if grid is None else grid).magnitude_db.copy()
     sidelobes[x.n - 1, x.n // 2] = DB_FLOOR  # mask the mainlobe cell
-    return RegionReport(
+    return levels, RegionReport(
         n=x.n,
         delays=region.delays,
         dopplers=region.dopplers,
-        region_energy=eval_objective(x, region),
+        region_energy=float(np.sum(cells.real ** 2 + cells.imag ** 2)),  # eval_objective's bits
         region_avg_db=float(np.mean(levels)),
         region_peak_db=float(np.max(levels)),
         global_peak_sidelobe_db=float(sidelobes.max()),
@@ -112,13 +111,11 @@ def compare(before: CodeSequence, after: CodeSequence, region: RegionSpec,
     """
     if before.n != after.n:
         raise ValueError(f"code lengths differ: {before.n} vs {after.n}")
-    levels_before = region_levels_db(before, region)
-    levels_after = region_levels_db(after, region)
-    report_before = _report(before, region, levels_before)
-    report_after = _report(after, region, levels_after, after_grid)
+    levels_before, report_before = _levels_and_report(before, region, None)
+    levels_after, report_after = _levels_and_report(after, region, after_grid)
     bin_levels = [
-        (k, p, level_b, level_a)
-        for (k, p, level_b), (_, _, level_a) in zip(levels_before, levels_after)
+        (k, p, float(level_b), float(level_a))
+        for (k, p), level_b, level_a in zip(region.pairs(), levels_before, levels_after)
     ]
     return ComparisonReport(
         before=report_before,

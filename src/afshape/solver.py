@@ -59,9 +59,11 @@ closed form leaves, per loaded matrix,
 with q = x^H L x = zeta N + Re r[k, p] for the ar half and zeta N - Im r[k, p]
 for the ai half. The u-step needs only the K lag shifts and the P Doppler
 rows of the LoadedRegion to form every r (never one row per cell: see
-update_aux), and it already takes sqrt(q) for its weights, so it returns
-M2(x, u(x)) as the sum of these terms, each written as
-(q - zeta N) / (sqrt(q) + sqrt(zeta N)) squared so that nothing cancels.
+update_aux), and it holds q of both halves in one real array of 2 |R|
+values, on which sqrt(q), the weights and the M2 terms are each formed once.
+It already takes sqrt(q) for its weights, so it returns M2(x, u(x)) as the
+sum of these terms, each written as (q - zeta N) / (sqrt(q) + sqrt(zeta N))
+squared so that nothing cancels.
 m2_objective evaluates M2 at any (x, u) from B itself, as
 x^H Q x + 2 |R| zeta N - 2 sqrt(zeta N) Re(x^H s).
 
@@ -294,8 +296,12 @@ def update_aux(x: CodeSequence, loaded: LoadedRegion) -> tuple[np.ndarray, float
         r = (xs * conj(x)) F^T
 
     is the (K, P) block of every x^H A x, in region.pairs() order when
-    flattened. With alpha = (w_r + j w_i) / 2 the (K, P) weights of the
-    A x half and W = alpha F, the A x half of s is sum_k xs[k] * W[k]; the
+    flattened. Conjugated in place and viewed as one real (K, 2P) array,
+    halves, its columns alternate Re r and -Im r, so q = halves + zeta N
+    holds x^H L x of both halves of every cell and C = sum halves^2. The
+    weights w = 1 / (2 sqrt(q)) overwrite q; viewed as complex they are
+    alpha = (w_r + j w_i) / 2 per cell, with w_r and w_i the two halves'
+    1 / sqrt(q). With W = alpha F, the A x half of s is sum_k xs[k] * W[k]; the
     A^H x half has weights conj(alpha), so it is sum_k of the row
     conj(W[k]) * x shifted back by k, one flat gather of a (K, N) array.
     Raises RuntimeError when some x^H L x is not positive, i.e. the loading
@@ -305,32 +311,28 @@ def update_aux(x: CodeSequence, loaded: LoadedRegion) -> tuple[np.ndarray, float
     rows = loaded.doppler_rows
     shifted = values[loaded.shift_idx]
     r = (shifted * values.conj()) @ rows.T
-    # x^H L x of both loaded halves, using ||x||^2 = N for unimodular x
+    # Re r and -Im r side by side; + zeta N gives x^H L x of both halves, as ||x||^2 = N
+    halves = np.conjugate(r, out=r).view(float)
     zn = loaded.zeta * loaded.n
-    q_r = zn + r.real
-    q_i = zn - r.imag
-    if not (q_r.min() > 0.0 and q_i.min() > 0.0):  # a NaN minimum fails too
+    q = halves + zn
+    if not q.min() > 0.0:  # a NaN minimum fails too
         raise RuntimeError(f"loaded matrices are not positive definite at this code: "
-                           f"min x^H L x = {min(q_r.min(), q_i.min()):.6e} "
-                           f"at loading level {loaded.zeta:.6e}")
-    root_r = np.sqrt(q_r)
-    root_i = np.sqrt(q_i)
-    w_r = 1.0 / root_r
-    w_i = 1.0 / root_i
-    # sqrt(q) - sqrt(zeta N) = (q - zeta N) / (sqrt(q) + sqrt(zeta N)), with q - zeta N = +-r
-    root_zn = math.sqrt(zn)
-    gap_r = r.real / (root_r + root_zn)
-    gap_i = r.imag / (root_i + root_zn)
-    m2 = float(np.vdot(gap_r, gap_r) + np.vdot(gap_i, gap_i))
+                           f"min x^H L x = {q.min():.6e} at loading level {loaded.zeta:.6e}")
+    root = np.sqrt(q, out=q)
+    # sqrt(q) - sqrt(zeta N) = (q - zeta N) / (sqrt(q) + sqrt(zeta N)), with q - zeta N = halves
+    gap = halves / (root + math.sqrt(zn))
+    m2 = float(np.vdot(gap, gap))
+    c = float(np.vdot(halves, halves))
+    w = np.divide(0.5, root, out=q)
     # L_r x = (A x + A^H x) / 2 + zeta x and L_i x = j (A x - A^H x) / 2 + zeta x
-    weights = (0.5 * w_r + 0.5j * w_i) @ rows
+    weights = w.view(complex) @ rows
     # both halves in place in the two (K, N) arrays: xs * W, plus conj(W) * x moved back
     terms = np.multiply(shifted, weights, out=shifted)
     np.conjugate(weights, out=weights)
     terms += np.multiply(weights, values, out=weights).take(loaded.unshift_idx)
     s = terms.sum(axis=0)
-    s += loaded.zeta * (w_r.sum() + w_i.sum()) * values
-    return s, float(np.vdot(r, r).real), m2
+    s += 2.0 * loaded.zeta * w.sum() * values
+    return s, c, m2
 
 
 def m2_objective(x: CodeSequence, aux: np.ndarray, loaded: LoadedRegion) -> float:

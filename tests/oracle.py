@@ -127,6 +127,43 @@ def build_bx(aux, loaded):
     return bx
 
 
+def update_aux_two_halves(x, loaded):
+    """afshape.solver.update_aux as written with one array per loaded half.
+
+    q, sqrt(q), the weights w = 1 / sqrt(q) and the M2 gaps are formed once
+    for the ar halves (from Re r) and once for the ai halves (from Im r), and
+    their sums are added last. The package's single halves array sums in
+    another order, so it must match this within a relative tolerance; the
+    RuntimeError on a failed loading is the same.
+    """
+    values = x.values
+    rows = loaded.doppler_rows
+    shifted = values[loaded.shift_idx]
+    r = (shifted * values.conj()) @ rows.T
+    zn = loaded.zeta * loaded.n
+    q_r = zn + r.real
+    q_i = zn - r.imag
+    if not (q_r.min() > 0.0 and q_i.min() > 0.0):
+        raise RuntimeError(f"loaded matrices are not positive definite at this code: "
+                           f"min x^H L x = {min(q_r.min(), q_i.min()):.6e} "
+                           f"at loading level {loaded.zeta:.6e}")
+    root_r = np.sqrt(q_r)
+    root_i = np.sqrt(q_i)
+    w_r = 1.0 / root_r
+    w_i = 1.0 / root_i
+    root_zn = math.sqrt(zn)
+    gap_r = r.real / (root_r + root_zn)
+    gap_i = r.imag / (root_i + root_zn)
+    m2 = float(np.vdot(gap_r, gap_r) + np.vdot(gap_i, gap_i))
+    weights = (0.5 * w_r + 0.5j * w_i) @ rows
+    terms = np.multiply(shifted, weights, out=shifted)
+    np.conjugate(weights, out=weights)
+    terms += np.multiply(weights, values, out=weights).take(loaded.unshift_idx)
+    s = terms.sum(axis=0)
+    s += loaded.zeta * (w_r.sum() + w_i.sum()) * values
+    return s, float(np.vdot(r, r).real), m2
+
+
 def build_uqp_frobenius(aux, loaded, out=None):
     """build_uqp with gamma_x = ||B||_F, the looser bound it first used.
 

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from afshape import (
     CodeSequence,
@@ -18,7 +20,8 @@ from afshape import (
     report,
     run,
 )
-from afshape import metrics
+from afshape import af_core, metrics
+from afshape.metrics import ComparisonReport, RegionReport
 
 REGION = RegionSpec(delays=(1, 3), dopplers=(-2, 2))
 
@@ -96,6 +99,70 @@ def test_compare_reuses_a_given_after_grid(monkeypatch):
     reused = compare(x0, x1, REGION, after_grid=grid)
     assert calls == [x0]
     assert reused.to_json_dict() == plain.to_json_dict()
+
+
+def test_compare_transforms_each_region_once(monkeypatch):
+    # one region transform per code, for its levels and its energy alike
+    region_calls = []
+
+    def counted(values, lags):
+        if tuple(np.atleast_1d(lags)) == REGION.delays:
+            region_calls.append(lags)
+        return spectra(values, lags)
+
+    spectra = af_core._lag_spectra
+    monkeypatch.setattr(af_core, "_lag_spectra", counted)
+    # an earlier metrics module held its own reference
+    monkeypatch.setattr(metrics, "_lag_spectra", counted, raising=False)
+    compare(init_random_code(8, 1), init_random_code(8, 2), REGION)
+    assert len(region_calls) == 2
+
+
+def assembled_report(x, region, levels):
+    """RegionReport from region_levels_db, eval_objective and af_grid, one call each."""
+    values = [level for _, _, level in levels]
+    sidelobes = af_grid(x).magnitude_db
+    sidelobes[x.n - 1, x.n // 2] = -np.inf
+    return RegionReport(n=x.n, delays=region.delays, dopplers=region.dopplers,
+                        region_energy=eval_objective(x, region),
+                        region_avg_db=float(np.mean(values)),
+                        region_peak_db=float(np.max(values)),
+                        global_peak_sidelobe_db=float(sidelobes.max()))
+
+
+@st.composite
+def compare_cases(draw):
+    """A code length, a valid region and two code seeds."""
+    n = draw(st.integers(min_value=2, max_value=48))
+    half = (n + 1) // 2
+    delays = draw(st.lists(st.integers(-(n - 1), n - 1), min_size=1, max_size=5,
+                           unique_by=lambda k: k % n))
+    dopplers = draw(st.lists(st.integers(-half, half - 1), min_size=1, max_size=5,
+                             unique_by=lambda p: p % n))
+    assume(not (0 in delays and 0 in dopplers))
+    seeds = draw(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+    return n, RegionSpec(delays=tuple(delays), dopplers=tuple(dopplers)), seeds
+
+
+@settings(max_examples=100, deadline=None)
+@given(compare_cases())
+def test_compare_equals_report_from_the_public_evaluators(case):
+    # exactly, so report.json keeps its bytes
+    n, region, (seed_before, seed_after) = case
+    before = init_random_code(n, seed_before)
+    after = init_random_code(n, seed_after)
+    levels_before = region_levels_db(before, region)
+    levels_after = region_levels_db(after, region)
+    report_before = assembled_report(before, region, levels_before)
+    report_after = assembled_report(after, region, levels_after)
+    expected = ComparisonReport(
+        before=report_before,
+        after=report_after,
+        suppression_db=report_before.region_avg_db - report_after.region_avg_db,
+        bin_levels=[(k, p, b, a) for (k, p, b), (_, _, a) in zip(levels_before, levels_after)],
+    )
+    assert compare(before, after, region).to_json_dict() == expected.to_json_dict()
+    assert report(after, region).to_json_dict() == report_after.to_json_dict()
 
 
 def test_compare_rejects_mismatched_lengths():

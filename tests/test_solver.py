@@ -25,7 +25,7 @@ from afshape import (
 )
 from afshape import solver
 from oracle import (build_bx, build_uqp_frobenius, pmli_inner_fixed_count, quadratic_form,
-                    random_psd)
+                    random_psd, update_aux_two_halves)
 
 SMALL_REGION = RegionSpec(delays=(1, 2), dopplers=(2, 3, -3))
 REF_REGION = RegionSpec(delays=(5, 6, 7), dopplers=(-15, -14, -13, 11, 12, 13, 14))
@@ -354,6 +354,28 @@ def test_update_aux_matches_root_reference_on_random_regions(case):
         assert c <= region.size * (1e-12 * n) ** 2
     else:
         assert abs(c - ref_c) <= 1e-12 * ref_c
+
+
+@settings(max_examples=200, deadline=None)
+@with_examples
+@given(uqp_cases())
+def test_update_aux_matches_two_array_u_step(case):
+    # one halves array against one array per loaded half: the sums run in
+    # another order, and every summand of C and M2 is nonnegative
+    n, region, delta, seed = case
+    loaded = build_loaded_region(n, region, delta=delta)
+    x = init_random_code(n, seed)
+    s, c, m2 = update_aux(x, loaded)
+    ref_s, ref_c, ref_m2 = update_aux_two_halves(x, loaded)
+    assert np.linalg.norm(s - ref_s) <= 1e-13 * np.linalg.norm(ref_s)
+    assert abs(c - ref_c) <= 1e-13 * ref_c
+    assert abs(m2 - ref_m2) <= 1e-13 * ref_m2
+    loaded.zeta = -2.0  # x^H L x = zeta N +- (Re or Im r) < 0, since |r| <= N
+    with pytest.raises(RuntimeError, match="not positive definite") as raised:
+        update_aux(x, loaded)
+    with pytest.raises(RuntimeError) as ref_raised:
+        update_aux_two_halves(x, loaded)
+    assert str(raised.value) == str(ref_raised.value)
 
 
 def test_build_uqp_is_gamma_x_minus_bx():
