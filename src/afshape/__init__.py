@@ -40,6 +40,7 @@ from .solver import (
     build_uqp,
     init_random_code,
     m2_objective,
+    mm_step,
     pmli_inner,
     run,
     update_aux,
@@ -74,6 +75,7 @@ __all__ = [
     "init_random_code",
     "load_and_root",
     "m2_objective",
+    "mm_step",
     "pmli_inner",
     "region_levels_db",
     "report",

@@ -59,6 +59,9 @@ class CodeSequence:
 def _int_indices(values, name: str) -> tuple:
     out = set()
     for v in values:
+        # True would pass as index 1, and int() of an infinity raises OverflowError
+        if isinstance(v, (bool, np.bool_)) or v in (np.inf, -np.inf):
+            raise ValueError(f"{name} indices must be finite integers, got {v!r}")
         i = int(v)
         if i != v:
             raise ValueError(f"{name} indices must be integers, got {v!r}")
@@ -267,19 +270,21 @@ def af_grid(x: CodeSequence) -> AFGrid:
 
     Doppler columns cover one full period: bins -N/2 .. N/2 - 1 for even N
     and -(N-1)/2 .. (N-1)/2 for odd N. Lags k and k - N are the same cyclic
-    row, so only the N distinct rows are transformed and then tiled. The
-    mainlobe cell (lag 0, bin 0) holds exactly N, which puts it at exactly
-    0 dB in the mainlobe-normalized dB view.
+    row, so only the N distinct rows are transformed, put in bin order and
+    converted to dB, and both grids repeat those rows. The mainlobe cell
+    (lag 0, bin 0) holds exactly N, which puts it at exactly 0 dB in the
+    mainlobe-normalized dB view.
     """
     n = x.n
     lags = np.arange(-(n - 1), n)
     bins = np.arange(n) - n // 2
-    magnitude = np.abs(_lag_spectra(x.values, np.arange(n)))[np.ix_(lags % n, bins % n)]
-    magnitude[n - 1, n // 2] = n
+    distinct = np.abs(_lag_spectra(x.values, np.arange(n)))[:, bins % n]
+    distinct[0, n // 2] = n
+    rows = lags % n
     return AFGrid(
         n=n,
         lags=lags,
         bins=bins,
-        magnitude=magnitude,
-        magnitude_db=to_db(magnitude, float(n)),
+        magnitude=distinct[rows],
+        magnitude_db=to_db(distinct, float(n))[rows],
     )

@@ -14,7 +14,8 @@ A run writes six files into --out (plus trace.json when --verbose):
 Settings come from flags, from a JSON config file (--config), or both;
 flags win over file values, and AFSHAPE_SEED supplies the seed when
 neither does. Exit codes: 0 success, 2 configuration error, 3 numerical
-failure (partial outputs are removed on failure).
+failure, a rise of the surrogate M2 included (partial outputs are removed
+on failure).
 """
 
 from __future__ import annotations

@@ -44,8 +44,8 @@ the Perron vector of |Q| (or of a lag-structured G >= |Q| where lags meet
 mod N), and the ratio falls to within a few percent of lambda_max(Q). Weyl's
 bound |R| (2 zeta + sqrt(2)) caps it. Q is the same matrix in every outer
 iteration, so build_loaded_region computes gamma_x once per solve, and the
-solve keeps one D: the first outer iteration writes gamma_x I - Q, and every
-later one rewrites only D's border sqrt(zeta N) s (see build_uqp).
+solve keeps one D: run builds gamma_x I - Q before the first cycle, and each
+cycle rewrites only D's border sqrt(zeta N) s (see build_uqp).
 
 The full D is in general not PSD with this gamma_x (it ignores the
 border), and need not be. A smaller gamma_x makes each PMLI step move
@@ -68,11 +68,19 @@ m2_objective evaluates M2 at any (x, u) from B itself, as
 x^H Q x + 2 |R| zeta N - 2 sqrt(zeta N) Re(x^H s).
 
 The same pass yields the quartic C = sum |r[k, p]|^2, so the u-step also
-returns C at the new code. C is used once per outer iteration for the
-stopping rule |C_t - C_{t-1}| <= epsilon * C_{t-1} and recorded, together
-with the u-step's M2 and wall time, in a ConvergenceTrace, which also
-records why the solve stopped. With an identical config and seed the solve
-is fully deterministic.
+returns C at the new code.
+
+What the solve lowers is therefore f(x) = M2(x, u(x)) = sum (sqrt(q) -
+sqrt(zeta N))^2, not C itself. C = sum (q - zeta N)^2 = sum (sqrt(q) -
+sqrt(zeta N))^2 (sqrt(q) + sqrt(zeta N))^2, so f is a weighted C with the
+same zero set, and the solve's limit points are stationary for f, not
+necessarily for C.
+
+One cycle, x-step then u-step, is the map mm_step. run drives it: it owns
+the ConvergenceTrace (C, M2 and wall time per row, why the solve stopped),
+on_outer, the stopping rule |C_t - C_{t-1}| <= epsilon * C_{t-1}, and a
+runtime check that M2 never rises. With an identical config and seed the
+solve is fully deterministic.
 """
 
 from __future__ import annotations
@@ -267,7 +275,6 @@ class SolverState:
     """Mutable view of one running solve, handed to the outer-step callback."""
 
     x: CodeSequence
-    aux: np.ndarray
     loaded: LoadedRegion
     trace: ConvergenceTrace
     outer_iter: int
@@ -448,40 +455,52 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
     return result
 
 
+def mm_step(x: CodeSequence, s: np.ndarray, loaded: LoadedRegion, d_mat: np.ndarray,
+            gamma2: int, track_objective: bool = False):
+    """One MM cycle (x-step, then u-step at the new code): (x, s, C, M2, inner).
+
+    Writes sqrt(zeta N) s into the border of d_mat, a D that build_uqp built
+    for loaded, and never writes x or s. inner is PMLI's objective block, or
+    None unless track_objective is set.
+    """
+    d_mat = build_uqp(s, loaded, out=d_mat)
+    if track_objective:
+        x, inner = pmli_inner(d_mat, x, gamma2, track_objective=True)
+    else:
+        x, inner = pmli_inner(d_mat, x, gamma2), None
+    s, c, m2 = update_aux(x, loaded)
+    return x, s, c, m2, inner
+
+
 def run(config: SolverConfig, collect_inner: bool = False, on_outer=None):
     """Execute the full cyclic solve; returns (final code, trace).
 
-    One outer iteration writes the current auxiliary vector into the UQP
-    matrix (built once per solve, see build_uqp), runs at most gamma2 inner
-    power-method-like steps on the code (stopping at an exact fixed point),
-    then refreshes the auxiliary vector, the quartic objective and M2 at
-    the new code. The loop stops when the quartic objective's relative change
-    falls to epsilon or after gamma1 outer iterations, whichever comes
-    first; the trace records which one, the last relative change, the
-    initial code, zeta and gamma_x. Pass on_outer to observe the SolverState
-    after each outer iteration.
+    Builds the UQP matrix D once (see build_uqp), then runs one mm_step per
+    outer iteration until the quartic objective's relative change falls to
+    epsilon or after gamma1 outer iterations; the trace records which one,
+    the last relative change, the initial code, zeta and gamma_x. Pass
+    on_outer to observe the SolverState after each outer iteration. An M2
+    rise above 1e-12 * 2 |R| zeta N, rounding on terms of that size, means
+    a broken x-step or u-step and raises RuntimeError.
     """
     loaded = build_loaded_region(config.n, config.region, delta=config.delta)
     x = init_random_code(config.n, config.seed)
-    aux, c_prev, m2 = update_aux(x, loaded)
+    s, c_prev, m2_prev = update_aux(x, loaded)
+    d_mat = build_uqp(s, loaded)
+    m2_slack = 1e-12 * 2 * loaded.region.size * loaded.zeta * loaded.n
     trace = ConvergenceTrace(inner_objectives=[] if collect_inner else None, initial_code=x,
                              zeta=loaded.zeta, gamma_x=loaded.gamma_x)
     start = time.perf_counter()
-    trace.record(0, c_prev, m2, 0.0)
-    state = SolverState(x=x, aux=aux, loaded=loaded, trace=trace, outer_iter=0)
-    d_mat = None
+    trace.record(0, c_prev, m2_prev, 0.0)
+    state = SolverState(x=x, loaded=loaded, trace=trace, outer_iter=0)
     for t in range(1, config.gamma1 + 1):
-        d_mat = build_uqp(aux, loaded, out=d_mat)
-        inner = None
-        if collect_inner:
-            x, inner = pmli_inner(d_mat, x, config.gamma2, track_objective=True)
-        else:
-            x = pmli_inner(d_mat, x, config.gamma2)
-        aux, c_now, m2 = update_aux(x, loaded)
+        x, s, c_now, m2, inner = mm_step(x, s, loaded, d_mat, config.gamma2, collect_inner)
+        if m2 - m2_prev > m2_slack:
+            raise RuntimeError(f"M2 rose from {m2_prev:.17g} to {m2:.17g} in outer iteration "
+                               f"{t}, more than the rounding slack {m2_slack:.3g}")
         elapsed = (time.perf_counter() - start) * 1e3
         trace.record(t, c_now, m2, elapsed, inner)
         state.x = x
-        state.aux = aux
         state.outer_iter = t
         if on_outer is not None:
             on_outer(state)
@@ -491,7 +510,7 @@ def run(config: SolverConfig, collect_inner: bool = False, on_outer=None):
         if change <= config.epsilon * abs(c_prev):
             trace.stop_reason = "epsilon"
             break
-        c_prev = c_now
+        c_prev, m2_prev = c_now, m2
     else:
         trace.stop_reason = "gamma1"
     return x, trace

@@ -12,6 +12,7 @@ from afshape import (
     DB_FLOOR,
     CodeSequence,
     RegionSpec,
+    SolverConfig,
     af_grid,
     build_doppler_diag,
     build_kernel,
@@ -76,6 +77,14 @@ def test_region_allows_zero_on_one_axis():
 def test_region_rejects_non_integer_indices():
     with pytest.raises(ValueError):
         RegionSpec(delays=(1.5,), dopplers=(1,))
+    # a bool must not pass as index 1, and an infinity must not raise OverflowError
+    for bad in (True, np.True_, np.inf, -np.inf, np.float64(np.inf), np.nan):
+        with pytest.raises(ValueError):
+            RegionSpec(delays=(bad,), dopplers=(1,))
+        with pytest.raises(ValueError):
+            RegionSpec(delays=(1,), dopplers=(bad,))
+    with pytest.raises(ValueError):
+        SolverConfig.from_json_dict({"n": 8, "k": [True], "p": [1]})
 
 
 def test_region_range_validation():
@@ -296,6 +305,8 @@ def test_af_grid_mainlobe_cell_is_zero_db():
         for n in range(2, 65):
             grid = af_grid(init_random_code(n, seed))
             assert grid.magnitude_db[n - 1, n // 2] == 0.0
+            # dB of the N distinct rows, tiled, is dB of the tiled grid bit for bit
+            assert grid.magnitude_db.tobytes() == to_db(grid.magnitude, n).tobytes()
 
 
 def test_af_grid_db_values_never_positive():

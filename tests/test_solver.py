@@ -18,12 +18,14 @@ from afshape import (
     init_random_code,
     load_and_root,
     m2_objective,
+    mm_step,
     pmli_inner,
     run,
     split_kernel,
     update_aux,
 )
 from afshape import solver
+from afshape.cli import main
 from oracle import (build_bx, build_uqp_frobenius, pmli_inner_fixed_count, quadratic_form,
                     random_psd, update_aux_two_halves)
 
@@ -434,7 +436,7 @@ def test_run_builds_one_uqp_matrix_per_solve(monkeypatch):
     for config in (small_config(gamma1=6, epsilon=1e-15), small_config(gamma1=4, seed=2)):
         del outs[:]
         _, trace = run(config)
-        assert len(outs) == trace.outer_iters[-1]
+        assert len(outs) == trace.outer_iters[-1] + 1  # once before the loop, then per cycle
         assert sum(out is None for out in outs) == 1 and outs[0] is None
         assert all(out is outs[1] for out in outs[1:])
 
@@ -660,6 +662,83 @@ def test_run_c_matches_eval_objective_at_every_outer_iteration(config):
     assert abs(trace.c_values[0] - c0) <= 1e-12 * c0
     check_m2(trace.initial_code, trace.m2_values[0])
     assert checked == trace.outer_iters[1:]
+
+
+def stale_x_step(monkeypatch, from_call=5):
+    """Break the x-step: from outer iteration from_call on, PMLI returns the solve's initial code.
+
+    The first call's start code is the initial code, init_random_code(n, seed).
+    """
+    starts = []
+
+    def stale(d_mat, x_start, gamma2, track_objective=False):
+        starts.append(x_start)
+        if len(starts) < from_call:
+            return pmli_inner(d_mat, x_start, gamma2, track_objective=track_objective)
+        x0 = CodeSequence(phases=starts[0].phases)
+        return (x0, np.zeros(2)) if track_objective else x0
+
+    monkeypatch.setattr(solver, "pmli_inner", stale)
+    return starts
+
+
+@pytest.mark.parametrize("collect_inner", [False, True])
+def test_run_raises_when_m2_rises(monkeypatch, collect_inner):
+    config = small_config(gamma1=20, epsilon=1e-15)
+    _, trace = run(config)
+    assert trace.m2_values[0] > trace.m2_values[4]  # M2 at the initial code is a rise
+    starts = stale_x_step(monkeypatch)
+    with pytest.raises(RuntimeError, match="M2 rose .* in outer iteration 5,"):
+        run(config, collect_inner=collect_inner)
+    assert starts[0].phases.tobytes() == init_random_code(config.n, config.seed).phases.tobytes()
+    assert len(starts) == 5
+
+
+def test_main_exits_3_when_m2_rises(monkeypatch, tmp_path, capsys):
+    stale_x_step(monkeypatch)
+    out = tmp_path / "results"
+    argv = ["--n", "12", "--k", "1,2", "--p", "2,3", "--gamma1", "10", "--gamma2", "20",
+            "--epsilon", "1e-15", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "M2 rose" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("config, track_objective, stop_reason", [
+    (small_config(gamma1=100, epsilon=1e-2, seed=2), False, "epsilon"),
+    (small_config(gamma1=6, epsilon=1e-15), True, "gamma1"),
+], ids=["plain-epsilon", "tracked-gamma1"])
+def test_mm_step_loop_reproduces_run(config, track_objective, stop_reason):
+    # the cycle run by hand, with run's stop rule, gives run's rows and code bit for bit
+    x_run, trace = run(config, collect_inner=track_objective)
+    assert trace.stop_reason == stop_reason
+    loaded = build_loaded_region(config.n, config.region, delta=config.delta)
+    x = init_random_code(config.n, config.seed)
+    s, c_prev, m2 = update_aux(x, loaded)
+    d_mat = build_uqp(s, loaded)
+    c_rows, m2_rows, blocks = [c_prev], [m2], []
+    for _ in range(config.gamma1):
+        phases, s_before = x.phases.copy(), s.copy()
+        x_next, s_next, c_now, m2, inner = mm_step(x, s, loaded, d_mat, config.gamma2,
+                                                   track_objective)
+        assert x.phases.tobytes() == phases.tobytes() and s.tobytes() == s_before.tobytes()
+        x, s = x_next, s_next
+        c_rows.append(c_now)
+        m2_rows.append(m2)
+        blocks.append(inner)
+        if abs(c_now - c_prev) <= config.epsilon * abs(c_prev):
+            break
+        c_prev = c_now
+    assert np.array(c_rows).tobytes() == np.array(trace.c_values).tobytes()
+    assert np.array(m2_rows).tobytes() == np.array(trace.m2_values).tobytes()
+    assert x.phases.tobytes() == x_run.phases.tobytes()
+    if track_objective:
+        assert len(blocks) == len(trace.inner_objectives)
+        for block, ref in zip(blocks, trace.inner_objectives):
+            assert block.tobytes() == ref.tobytes()
+    else:
+        assert blocks == [None] * len(blocks) and trace.inner_objectives is None
 
 
 def test_run_makes_no_m2_objective_call(monkeypatch):
