@@ -19,6 +19,9 @@ mainlobe at 0 dB; exact zeros are floored at -100 dB.
 
 from __future__ import annotations
 
+import numbers
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
 
@@ -56,16 +59,34 @@ class CodeSequence:
         return cls(phases=np.angle(np.asarray(values, dtype=complex)))
 
 
-def _int_indices(values, name: str) -> tuple:
+def as_integer(value, name: str) -> int:
+    """value as an int, or ValueError unless it is a finite integer and not a bool."""
+    # True would pass as 1; compared, not converted: int(inf) and float(10**400) overflow
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max or int(value) != value):
+        raise ValueError(f"{name} must be a finite integer, got {value!r}")
+    return int(value)
+
+
+def _int_indices(value, name: str) -> tuple:
+    # a text or a mapping is one entry, which as_integer refuses unless it is text
+    single = isinstance(value, (str, Mapping)) or not np.iterable(value)
     out = set()
-    for v in values:
-        # True would pass as index 1, and int() of an infinity raises OverflowError
-        if isinstance(v, (bool, np.bool_)) or v in (np.inf, -np.inf):
-            raise ValueError(f"{name} indices must be finite integers, got {v!r}")
-        i = int(v)
-        if i != v:
-            raise ValueError(f"{name} indices must be integers, got {v!r}")
-        out.add(i)
+    for entry in [value] if single else value:
+        if not isinstance(entry, str):
+            out.add(as_integer(entry, f"{name} index"))
+            continue
+        for token in entry.split(","):
+            first, sep, last = token.partition("..")
+            try:
+                lo = int(first)
+                hi = int(last) if sep else lo
+            except ValueError:
+                raise ValueError(f"{name} indices: cannot read {token.strip()!r} in {entry!r} "
+                                 f"as an integer or an a..b range") from None
+            if lo > hi:
+                raise ValueError(f"{name} indices: range {token.strip()!r} is empty")
+            out.update(range(lo, hi + 1))
     return tuple(sorted(out))
 
 
@@ -73,9 +94,14 @@ def _int_indices(values, name: str) -> tuple:
 class RegionSpec:
     """Delay/Doppler index sets over which AF energy is to be suppressed.
 
-    Index sets are stored sorted and deduplicated, so iteration order is
-    deterministic. The mainlobe pair (0, 0) is rejected outright; range
-    checks against a concrete code length happen in validate_for.
+    Each index set is one entry or a list or tuple of entries (any
+    iterable but a mapping). An entry is a finite integral number (5.0
+    reads as 5; a bool is refused) or a text of comma-separated integers
+    and inclusive a..b ranges ("5..7", "-15..-13,11..14"). This one format
+    holds for CLI flags, JSON config files and the library alike. Sets are
+    stored sorted and deduplicated, so iteration order is deterministic.
+    The mainlobe pair (0, 0) is rejected outright; range checks against a
+    concrete code length happen in validate_for.
     """
 
     delays: tuple

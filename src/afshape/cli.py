@@ -13,9 +13,10 @@ A run writes six files into --out (plus trace.json when --verbose):
 
 Settings come from flags, from a JSON config file (--config), or both;
 flags win over file values, and AFSHAPE_SEED supplies the seed when
-neither does. Exit codes: 0 success, 2 configuration error, 3 numerical
-failure, a rise of the surrogate M2 included (partial outputs are removed
-on failure).
+neither does. SolverConfig.from_json_dict checks the merged settings, and
+--k/--p and a file's k/p take the index-set format RegionSpec reads. Exit
+codes: 0 success, 2 configuration error, 3 numerical failure, a rise of the
+surrogate M2 included (partial outputs are removed on failure).
 """
 
 from __future__ import annotations
@@ -77,56 +78,6 @@ class RunManifest:
         if unknown:
             raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
         return cls(**{name: data[name] for name in names})
-
-
-def _parse_int(token: str, field_name: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ConfigError(f"{field_name}: expected an integer, got {token!r}") from None
-
-
-def _parse_index_text(text: str, field_name: str) -> list:
-    items = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            raise ConfigError(f"{field_name}: empty entry in {text!r}")
-        if ".." in token:
-            lo_text, hi_text = token.split("..", 1)
-            lo = _parse_int(lo_text, field_name)
-            hi = _parse_int(hi_text, field_name)
-            if lo > hi:
-                raise ConfigError(f"{field_name}: inclusive range {token!r} is empty")
-            items.extend(range(lo, hi + 1))
-        else:
-            items.append(_parse_int(token, field_name))
-    return items
-
-
-def parse_index_set(value, field_name: str) -> tuple:
-    """Accept an int list, "5,6,7", or inclusive ranges like "-15..-13,11..14"."""
-    if isinstance(value, str):
-        items = _parse_index_text(value, field_name)
-    elif isinstance(value, (list, tuple)):
-        items = []
-        for entry in value:
-            if isinstance(entry, str):
-                items.extend(_parse_index_text(entry, field_name))
-            elif isinstance(entry, bool):
-                raise ConfigError(f"{field_name}: entries must be integers, got {entry!r}")
-            elif isinstance(entry, int):
-                items.append(entry)
-            else:
-                raise ConfigError(f"{field_name}: entries must be integers or range "
-                                  f"strings, got {entry!r}")
-    elif isinstance(value, int) and not isinstance(value, bool):
-        items = [value]
-    else:
-        raise ConfigError(f"{field_name}: expected integers or range strings, got {value!r}")
-    if not items:
-        raise ConfigError(f"{field_name}: index set must be nonempty")
-    return tuple(sorted(set(items)))
 
 
 def load_config_file(path) -> dict:
@@ -208,9 +159,6 @@ def resolve_config(args: argparse.Namespace, env=None) -> SolverConfig:
             merged["seed"] = int(raw)
         except ValueError:
             raise ConfigError(f"AFSHAPE_SEED must be an integer, got {raw!r}") from None
-    for name in ("k", "p"):
-        if name in merged:
-            merged[name] = parse_index_set(merged[name], name)
     try:
         return SolverConfig.from_json_dict(merged)
     except (TypeError, ValueError) as exc:

@@ -97,7 +97,7 @@ import numpy as np
 
 # eval_objective is not called here; it stays importable from this module
 # because perfbench/tracer.py wraps afshape.solver.eval_objective
-from .af_core import CodeSequence, RegionSpec, eval_objective  # noqa: F401
+from .af_core import CodeSequence, RegionSpec, as_integer, eval_objective  # noqa: F401
 from .reformulation import LoadedRegion, build_loaded_region
 
 
@@ -114,33 +114,24 @@ class SolverConfig:
     delta: float = 0.01
 
     def __post_init__(self) -> None:
-        for name in ("n", "gamma1", "gamma2", "seed", "epsilon", "delta"):
-            value = getattr(self, name)
-            # bool is an Integral, and a JSON true must not pass as 1
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            # compared, not converted: int(inf) and float(10**400) raise OverflowError
-            if not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("n", "gamma1", "gamma2", "seed"):
-            value = getattr(self, name)
-            if int(value) != value:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
-        if self.n < 2:
-            raise ValueError(f"code length must be >= 2, got {self.n}")
-        if self.gamma1 < 1:
-            raise ValueError(f"gamma1 must be >= 1, got {self.gamma1}")
-        if self.gamma2 < 1:
-            raise ValueError(f"gamma2 must be >= 1, got {self.gamma2}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("epsilon", "delta"):
-            value = float(getattr(self, name))
-            if not value > 0:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        # the integer settings and the least value each may take
+        for name, least in (("n", 2), ("gamma1", 1), ("gamma2", 1), ("seed", 0)):
+            value = as_integer(getattr(self, name), name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
             setattr(self, name, value)
+        for name in ("epsilon", "delta"):
+            value = getattr(self, name)
+            # bool is a Real; compared, not converted: float(10**400) raises OverflowError
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 < value <= sys.float_info.max):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            setattr(self, name, float(value))
         self.region.validate_for(self.n)
+        # M2's constant 2 |R| zeta N must stay finite, or the solve fails with NaN
+        if not 2 * self.region.size * (1.0 + self.delta) * self.n <= sys.float_info.max:
+            raise ValueError(f"delta={self.delta!r} overflows 2 |R| (1 + delta) N for "
+                             f"|R|={self.region.size}, n={self.n}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,7 +154,7 @@ class SolverConfig:
             if required not in data:
                 raise ValueError(f"missing required config key {required!r}")
         kwargs = {key: value for key, value in data.items() if key not in ("n", "k", "p")}
-        region = RegionSpec(delays=tuple(data["k"]), dopplers=tuple(data["p"]))
+        region = RegionSpec(delays=data["k"], dopplers=data["p"])
         return cls(n=data["n"], region=region, **kwargs)
 
 

@@ -110,6 +110,17 @@ def test_region_rejects_cyclic_aliases():
     RegionSpec(delays=(1, -30), dopplers=(-16, 15)).validate_for(32)
 
 
+def index_text(indices):
+    """The distinct indices as a comma/range text: each run of consecutive ones as a..b."""
+    runs = []
+    for i in sorted(set(indices)):
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    return ",".join(f"{lo}..{hi}" if lo < hi else str(lo) for lo, hi in runs)
+
+
 @st.composite
 def regions_in_range(draw):
     n = draw(st.integers(min_value=2, max_value=12))
@@ -118,13 +129,17 @@ def regions_in_range(draw):
     dopplers = draw(st.lists(st.integers(-half, half - 1), min_size=1, max_size=4))
     assume(not (0 in delays and 0 in dopplers))
     phases = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n))
-    return n, RegionSpec(delays=tuple(delays), dopplers=tuple(dopplers)), phases
+    return n, delays, dopplers, phases
 
 
 @settings(max_examples=200, deadline=None)
 @given(regions_in_range())
 def test_valid_regions_count_each_cyclic_cell_once(case):
-    n, region, phases = case
+    n, delays, dopplers, phases = case
+    region = RegionSpec(delays=tuple(delays), dopplers=tuple(dopplers))
+    # the same indices as texts, in drawn order or as ranges, name the same region
+    for text in (lambda ix: ",".join(map(str, ix)), index_text):
+        assert RegionSpec(delays=text(delays), dopplers=text(dopplers)) == region
     distinct = (len({k % n for k in region.delays}) == len(region.delays)
                 and len({p % n for p in region.dopplers}) == len(region.dopplers))
     try:
@@ -133,6 +148,11 @@ def test_valid_regions_count_each_cyclic_cell_once(case):
         assert not distinct  # in-range indices fail only by aliasing
         return
     assert distinct
+    config = SolverConfig(n=n, region=region)
+    data = config.to_json_dict()
+    assert SolverConfig.from_json_dict(data) == config
+    texts = {"k": index_text(delays), "p": index_text(dopplers)}
+    assert SolverConfig.from_json_dict({**data, **texts}) == config
     cells = {(k % n, p % n) for k, p in region.pairs()}
     assert len(cells) == region.size
     x = CodeSequence(phases=np.asarray(phases))

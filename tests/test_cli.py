@@ -11,10 +11,9 @@ from afshape.cli import (
     RunManifest,
     main,
     parse_config,
-    parse_index_set,
     run_and_export,
 )
-from afshape.af_core import AFGrid
+from afshape.af_core import AFGrid, RegionSpec
 from afshape.solver import ConvergenceTrace, SolverConfig
 
 SMALL_ARGS = ["--n", "12", "--k", "1,2", "--p", "2,3", "--gamma1", "10",
@@ -30,19 +29,47 @@ def small_solver_config(**overrides):
 
 # ----------------------------------------------------------- index sets
 
-def test_parse_index_set_variants():
-    assert parse_index_set("5,6,7", "k") == (5, 6, 7)
-    assert parse_index_set("5..7", "k") == (5, 6, 7)
-    assert parse_index_set("-15..-13,11..14", "p") == (-15, -14, -13, 11, 12, 13, 14)
-    assert parse_index_set([3, 1, 2, 2], "k") == (1, 2, 3)
-    assert parse_index_set(["1", "4..5"], "k") == (1, 4, 5)
-    assert parse_index_set(7, "k") == (7,)
+# each index-set form and the sorted, distinct set it names
+INDEX_SETS = [
+    ("5,6,7", (5, 6, 7)),
+    ("5..7", (5, 6, 7)),
+    ("-15..-13,11..14", (-15, -14, -13, 11, 12, 13, 14)),
+    ([3, 1, 2, 2], (1, 2, 3)),
+    (["1", "4..5"], (1, 4, 5)),
+    (7, (7,)),
+]
+BAD_INDEX_SETS = ["7..5", "1,7..5", "a", "", "1,,2", [True], [None], {"x": 1}, {"5": 1},
+                  "5..", "1..2..3"]
 
 
-def test_parse_index_set_rejects_garbage():
-    for bad in ("7..5", "a", "", "1,,2", [True], [None], {"x": 1}):
-        with pytest.raises(ConfigError):
-            parse_index_set(bad, "k")
+def test_index_set_variants(tmp_path):
+    # RegionSpec reads every form; the library, a JSON dict and a --config file agree
+    for value, expected in INDEX_SETS:
+        assert RegionSpec(delays=value, dopplers=value) == RegionSpec(expected, expected)
+        for key, axis in (("k", "delays"), ("p", "dopplers")):
+            data = {"n": 31, "k": [1], "p": [1], key: value}
+            config = SolverConfig.from_json_dict(data)
+            assert getattr(config.region, axis) == expected
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(data))
+            assert parse_config(["--config", str(path)], env={})[0] == config
+
+
+def test_index_set_rejects_garbage(tmp_path, capsys):
+    out = tmp_path / "out"
+    for bad in BAD_INDEX_SETS:
+        with pytest.raises(ValueError):
+            RegionSpec(delays=bad, dopplers=(1,))
+        with pytest.raises(ValueError):
+            SolverConfig.from_json_dict({"n": 8, "k": [1], "p": bad})
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"n": 8, "k": bad, "p": [1]}))
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        if isinstance(bad, str):
+            assert main(["--n", "8", "--k", "1", "--p", bad, "--out", str(out)]) == 2
+            assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --------------------------------------------------------------- config
@@ -165,6 +192,15 @@ def test_main_aliased_region_exit_2(tmp_path, capsys):
     for flags in (["--k", "5,-26", "--p", "3"], ["--k", "5", "--p", "-16,15"]):
         assert main(["--n", "31", *flags, "--out", str(tmp_path / "out")]) == 2
         assert "same cyclic cell" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_overflowing_delta_exit_2(tmp_path, capsys):
+    # 2 |R| (1 + delta) N overflows, which the solve would only find as a NaN (exit 3)
+    argv = ["--n", "31", "--k", "5..7", "--p=-15..-13,11..14", "--gamma1", "5",
+            "--delta", "1e307", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

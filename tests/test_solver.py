@@ -1,5 +1,7 @@
 """Tests for the cyclic solver: auxiliary updates, UQP construction, PMLI."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -114,6 +116,19 @@ def test_config_from_json_rejects_unknown_and_missing():
     for removed in ("zeta_policy", "gamma_x_mode", "inner_epsilon"):
         with pytest.raises(ValueError, match="unknown config keys"):
             SolverConfig.from_json_dict({"n": 8, "k": [1], "p": [1], removed: None})
+
+
+def test_config_refuses_delta_past_m2_overflow():
+    # the edge is the delta at which M2's constant 2 |R| (1 + delta) N reaches the largest float
+    for n, region in ((2, RegionSpec(delays=1, dopplers=0)), (31, REF_REGION)):
+        edge = sys.float_info.max / (2 * region.size * n) - 1
+        with pytest.raises(ValueError, match="overflows"):
+            SolverConfig(n=n, region=region, delta=1.001 * edge)
+        config = SolverConfig(n=n, region=region, gamma1=3, gamma2=20, delta=0.999 * edge)
+        # so close to the edge the unused trailing entry of D [x; 1] overflows in pmli_inner
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, trace = run(config)
+        assert np.isfinite(trace.c_values + trace.m2_values).all()
 
 
 # ------------------------------------------------------------ init/aux
