@@ -253,10 +253,9 @@ def to_db(magnitude, mainlobe: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class AFGrid:
-    """Magnitude of r over every lag (rows) and Doppler bin (columns)."""
+    """|r| over the N cyclic lag rows (row k is lags k and k - N) and N Doppler bins."""
 
     n: int
-    lags: np.ndarray
     bins: np.ndarray
     magnitude: np.ndarray
     magnitude_db: np.ndarray
@@ -264,7 +263,6 @@ class AFGrid:
     def to_json_dict(self) -> dict:
         return {
             "n": int(self.n),
-            "lags": [int(v) for v in self.lags],
             "bins": [int(v) for v in self.bins],
             "magnitude": self.magnitude.tolist(),
             "magnitude_db": self.magnitude_db.tolist(),
@@ -273,44 +271,29 @@ class AFGrid:
     def to_csv(self, path, db: bool = False) -> None:
         """Write the grid as CSV: lag column first, one column per Doppler bin.
 
-        Values carry 17 significant digits. The file is written one row at
-        a time, and a row whose bytes equal an earlier row's reuses that
-        row's formatted text, so the tiled grid of af_grid (lags k and k - N
-        are the same cyclic row) formats only its N distinct rows.
+        Every lag -(N-1) .. N-1 gets its line, so the file has 2N - 1 rows;
+        lag k writes row k mod N, each row formatted once. Values carry 17
+        significant digits.
         """
         grid = self.magnitude_db if db else self.magnitude
         row_format = ",%.17g" * grid.shape[1]
-        formatted = {}
+        texts = [row_format % tuple(row) for row in grid.tolist()]
         with open(path, "w") as fh:
             fh.write("lag," + ",".join(str(int(b)) for b in self.bins) + "\n")
-            for lag, row in zip(self.lags, grid):
-                key = row.tobytes()
-                text = formatted.get(key)
-                if text is None:
-                    text = formatted[key] = row_format % tuple(row.tolist())
-                fh.write(f"{int(lag)}{text}\n")
+            for lag in range(1 - self.n, self.n):
+                fh.write(f"{lag}{texts[lag % self.n]}\n")
 
 
 def af_grid(x: CodeSequence) -> AFGrid:
-    """Evaluate |r| on the full (2N-1) x N lag/Doppler grid.
+    """|r| on the N x N grid: row k is lags k and k - N, columns are Doppler bins.
 
-    Doppler columns cover one full period: bins -N/2 .. N/2 - 1 for even N
-    and -(N-1)/2 .. (N-1)/2 for odd N. Lags k and k - N are the same cyclic
-    row, so only the N distinct rows are transformed, put in bin order and
-    converted to dB, and both grids repeat those rows. The mainlobe cell
-    (lag 0, bin 0) holds exactly N, which puts it at exactly 0 dB in the
-    mainlobe-normalized dB view.
+    The bins cover one full period: -N/2 .. N/2 - 1 for even N and
+    -(N-1)/2 .. (N-1)/2 for odd N. AFGrid.to_csv writes all 2N - 1 lags.
+    The mainlobe cell (row 0, bin 0) holds exactly N, so it reads exactly 0 dB.
     """
     n = x.n
-    lags = np.arange(-(n - 1), n)
     bins = np.arange(n) - n // 2
-    distinct = np.abs(_lag_spectra(x.values, np.arange(n)))[:, bins % n]
-    distinct[0, n // 2] = n
-    rows = lags % n
-    return AFGrid(
-        n=n,
-        lags=lags,
-        bins=bins,
-        magnitude=distinct[rows],
-        magnitude_db=to_db(distinct, float(n))[rows],
-    )
+    magnitude = np.abs(_lag_spectra(x.values, np.arange(n)))[:, bins % n]
+    magnitude[0, n // 2] = n
+    return AFGrid(n=n, bins=bins, magnitude=magnitude,
+                  magnitude_db=to_db(magnitude, float(n)))

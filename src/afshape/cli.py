@@ -3,7 +3,7 @@
 A run writes six files into --out (plus trace.json when --verbose):
 
     code.csv        index, phase_rad, re, im (17 significant digits)
-    af_grid.csv     |r| magnitude grid, lags as rows, Doppler bins as columns
+    af_grid.csv     |r| magnitude grid, lags -(N-1)..N-1 as rows, Doppler bins as columns
     af_grid_db.csv  the same grid in mainlobe-referenced dB
     trace.csv       outer_iter, C, m2_objective
     report.json     before/after region reports and the suppression figure

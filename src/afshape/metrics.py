@@ -91,7 +91,7 @@ def _levels_and_report(x: CodeSequence, region: RegionSpec,
     cells = _region_cells(x, region)
     levels = to_db(np.abs(cells), float(x.n)).ravel()
     sidelobes = (af_grid(x) if grid is None else grid).magnitude_db.copy()
-    sidelobes[x.n - 1, x.n // 2] = DB_FLOOR  # mask the mainlobe cell
+    sidelobes[0, x.n // 2] = DB_FLOOR  # mask the mainlobe cell (lag 0, bin 0)
     return levels, RegionReport(
         n=x.n,
         delays=region.delays,

@@ -128,9 +128,12 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
             setattr(self, name, float(value))
         self.region.validate_for(self.n)
-        # M2's constant 2 |R| zeta N must stay finite, or the solve fails with NaN
-        if not 2 * self.region.size * (1.0 + self.delta) * self.n <= sys.float_info.max:
-            raise ValueError(f"delta={self.delta!r} overflows 2 |R| (1 + delta) N for "
+        # every value of the solve must stay finite: with zeta = 1 + delta, ||s|| <= 2 |R|
+        # sqrt(1 + zeta), gamma_x <= |R| (2 zeta + sqrt(2)) and gamma_x I - Q <= 2 sqrt(2) |R| I,
+        # so the largest, the UQP objective, is <= |R| (4 zeta N + (2 + 2 sqrt(2)) N + 2 zeta + 2)
+        # <= 8 |R| zeta (N + 1) for delta >= 0.21; D [x; 1] and M2's 2 |R| zeta N stay below it
+        if not 8 * self.region.size * (1.0 + self.delta) * (self.n + 1) <= sys.float_info.max:
+            raise ValueError(f"delta={self.delta!r} overflows 8 |R| (1 + delta) (N + 1) for "
                              f"|R|={self.region.size}, n={self.n}")
 
     def to_json_dict(self) -> dict:

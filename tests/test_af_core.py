@@ -302,30 +302,30 @@ def test_objective_of_mainlobe_only_region_is_impossible():
 # -------------------------------------------------------------- af_grid
 
 def test_af_grid_shapes_and_axes():
+    # one row per cyclic lag: row k is lags k and k - n
     grid31 = af_grid(init_random_code(31, 0))
-    assert grid31.magnitude.shape == (61, 31)
-    assert grid31.lags[0] == -30 and grid31.lags[-1] == 30
+    assert grid31.magnitude.shape == grid31.magnitude_db.shape == (31, 31)
     assert grid31.bins[0] == -15 and grid31.bins[-1] == 15
     grid8 = af_grid(init_random_code(8, 0))
-    assert grid8.magnitude.shape == (15, 8)
+    assert grid8.magnitude.shape == grid8.magnitude_db.shape == (8, 8)
     assert grid8.bins[0] == -4 and grid8.bins[-1] == 3
+    assert not hasattr(grid8, "lags")
 
 
 def test_af_grid_matches_eval_af():
     for n in (7, 8):
         x = init_random_code(n, 4)
         grid = af_grid(x)
-        for i, k in enumerate(grid.lags):
+        for k in range(-(n - 1), n):
             for j, p in enumerate(grid.bins):
-                assert abs(grid.magnitude[i, j] - abs(eval_af(x, int(k), int(p)))) < 1e-12
+                assert abs(grid.magnitude[k % n, j] - abs(eval_af(x, k, int(p)))) < 1e-12
 
 
 def test_af_grid_mainlobe_cell_is_zero_db():
     for seed in range(20):
         for n in range(2, 65):
             grid = af_grid(init_random_code(n, seed))
-            assert grid.magnitude_db[n - 1, n // 2] == 0.0
-            # dB of the N distinct rows, tiled, is dB of the tiled grid bit for bit
+            assert grid.magnitude_db[0, n // 2] == 0.0
             assert grid.magnitude_db.tobytes() == to_db(grid.magnitude, n).tobytes()
 
 
@@ -350,16 +350,17 @@ def test_af_grid_csv_round_trip(tmp_path):
     header = lines[0].split(",")
     assert header[0] == "lag"
     assert [int(b) for b in header[1:]] == list(grid.bins)
-    assert len(lines) == 1 + grid.lags.size
+    # the header and all 2n - 1 lags, -(n-1) first; lag k reads row k mod n
+    assert len(lines) == 2 * x.n
     row = lines[3].split(",")
-    assert int(row[0]) == grid.lags[2]
-    np.testing.assert_allclose([float(v) for v in row[1:]], grid.magnitude[2], rtol=1e-15)
+    assert int(row[0]) == -2
+    np.testing.assert_allclose([float(v) for v in row[1:]], grid.magnitude[-2 % x.n], rtol=1e-15)
 
 
 def test_af_grid_json_round_trip():
     grid = af_grid(init_random_code(6, 2))
     payload = json.loads(json.dumps(grid.to_json_dict()))
-    assert set(payload) == {"n", "lags", "bins", "magnitude", "magnitude_db"}
+    assert set(payload) == {"n", "bins", "magnitude", "magnitude_db"}
     assert payload["n"] == 6
     np.testing.assert_allclose(np.array(payload["magnitude"]), grid.magnitude, rtol=1e-15)
     np.testing.assert_allclose(np.array(payload["magnitude_db"]), grid.magnitude_db, rtol=1e-15)

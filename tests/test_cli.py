@@ -1,6 +1,7 @@
 """Tests for configuration resolution, the export pipeline, and exit codes."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -196,12 +197,16 @@ def test_main_aliased_region_exit_2(tmp_path, capsys):
 
 
 def test_main_overflowing_delta_exit_2(tmp_path, capsys):
-    # 2 |R| (1 + delta) N overflows, which the solve would only find as a NaN (exit 3)
-    argv = ["--n", "31", "--k", "5..7", "--p=-15..-13,11..14", "--gamma1", "5",
-            "--delta", "1e307", "--out", str(tmp_path / "out")]
-    assert main(argv) == 2
-    assert "config error" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # 2 |R| (1 + delta) N overflows at 1e307, which the solve would only find as a NaN
+    # (exit 3); at 0.6x that edge M2's constant is finite, but the verbose trace's UQP
+    # objective is not
+    edge = sys.float_info.max / (2 * 21 * 31) - 1
+    for delta in ("1e307", repr(0.6 * edge)):
+        argv = ["--n", "31", "--k", "5..7", "--p=-15..-13,11..14", "--gamma1", "5",
+                "--delta", delta, "--verbose", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_main_missing_n_exit_2(capsys):

@@ -1,26 +1,38 @@
 """Byte-equality gate: the streaming writers against the first-written ones.
 
-AFGrid.to_csv formats each distinct row once and streams the file;
+AFGrid.to_csv formats each of its N cyclic lag rows once and writes all
+2N - 1 lags from them; the first-written writer takes the tiled grid, one
+row per lag, which tiled_view builds.
 ConvergenceTrace.write_json encodes number lists with json's C encoder.
 Both must write exactly the bytes of the straightforward writers kept in
 tests/oracle.py. Both sides run here, so no stored hash is used.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from afshape import RegionSpec, SolverConfig
+from afshape import CodeSequence, RegionSpec, SolverConfig
 from afshape.af_core import DB_FLOOR, AFGrid, af_grid
+from afshape.cli import run_and_export
 from afshape.solver import ConvergenceTrace, init_random_code, run
 from oracle import af_grid_to_csv, trace_to_json
+
+
+def tiled_view(grid):
+    """The (2N - 1)-row grid the first-written writer takes: lag k is row k mod N."""
+    lags = np.arange(-(grid.n - 1), grid.n)
+    rows = lags % grid.n
+    return SimpleNamespace(lags=lags, bins=grid.bins, magnitude=grid.magnitude[rows],
+                           magnitude_db=grid.magnitude_db[rows])
 
 
 def assert_same_csv(grid, tmp_path):
     for db in (False, True):
         grid.to_csv(tmp_path / "new.csv", db=db)
-        af_grid_to_csv(grid, tmp_path / "ref.csv", db=db)
+        af_grid_to_csv(tiled_view(grid), tmp_path / "ref.csv", db=db)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), db
 
 
@@ -39,14 +51,29 @@ def test_hand_built_grid_csv_matches_reference(tmp_path):
     specials = [0.0, -0.0, 5e-324, 1e308, math.inf, math.nan, DB_FLOOR, 0.1]
     unique = np.array(specials)
     zeros = np.zeros(len(specials))
-    magnitude = np.array([unique, unique[::-1], unique, -unique, unique[::-1], zeros, -zeros])
-    grid = AFGrid(n=8, lags=np.arange(-3, 4), bins=np.arange(8) - 4,
+    magnitude = np.array([unique, unique[::-1], unique, -unique, unique[::-1], zeros, -zeros,
+                          np.roll(unique, 3)])
+    grid = AFGrid(n=8, bins=np.arange(8) - 4,
                   magnitude=magnitude, magnitude_db=np.maximum(magnitude, DB_FLOOR))
     # rows 0 and 2 share their bytes; rows 5 and 6 compare equal but differ in
     # bytes and in text ("0" against "-0")
     assert magnitude[0].tobytes() == magnitude[2].tobytes()
     assert np.array_equal(magnitude[5], magnitude[6])
     assert_same_csv(grid, tmp_path)
+
+
+def test_exported_grid_csvs_match_reference(tmp_path):
+    # the CLI path: af_grid.csv and af_grid_db.csv of a run, against the first-written
+    # writer on the grid rebuilt from code.csv (17 significant digits round-trip float64)
+    region = RegionSpec(delays=(1, 2), dopplers=(-1, 0, 1))
+    config = SolverConfig(n=9, region=region, gamma1=6, gamma2=20, seed=3)
+    run_and_export(config, tmp_path / "out")
+    lines = (tmp_path / "out" / "code.csv").read_text().splitlines()[1:]
+    phases = [float(line.split(",")[1]) for line in lines]
+    grid = tiled_view(af_grid(CodeSequence(phases=phases)))
+    for name, db in (("af_grid.csv", False), ("af_grid_db.csv", True)):
+        af_grid_to_csv(grid, tmp_path / "ref.csv", db=db)
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def recorded_trace(inner_blocks, **attrs):

@@ -122,7 +122,7 @@ def assembled_report(x, region, levels):
     """RegionReport from region_levels_db, eval_objective and af_grid, one call each."""
     values = [level for _, _, level in levels]
     sidelobes = af_grid(x).magnitude_db
-    sidelobes[x.n - 1, x.n // 2] = -np.inf
+    sidelobes[0, x.n // 2] = -np.inf
     return RegionReport(n=x.n, delays=region.delays, dopplers=region.dopplers,
                         region_energy=eval_objective(x, region),
                         region_avg_db=float(np.mean(values)),

@@ -22,7 +22,7 @@ def test_readme_library_use_block_runs(capsys):
     assert float(energy) == namespace["af"].eval_objective(namespace["code"],
                                                            namespace["region"])
     assert float(avg_db) < 0.0
-    assert namespace["grid"].magnitude.shape == (61, 31)
+    assert namespace["grid"].magnitude.shape == (31, 31)
 
 
 def test_readme_json_config_reads_the_same_through_both_paths(tmp_path):

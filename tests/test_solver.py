@@ -119,16 +119,20 @@ def test_config_from_json_rejects_unknown_and_missing():
 
 
 def test_config_refuses_delta_past_m2_overflow():
-    # the edge is the delta at which M2's constant 2 |R| (1 + delta) N reaches the largest float
-    for n, region in ((2, RegionSpec(delays=1, dopplers=0)), (31, REF_REGION)):
-        edge = sys.float_info.max / (2 * region.size * n) - 1
+    # the edge is the delta at which 8 |R| (1 + delta) (N + 1), which bounds the UQP
+    # objective, D [x; 1] and M2's constant, reaches the largest float; below it a
+    # verbose run raises no overflow warning (filterwarnings = error)
+    for n, region in ((2, RegionSpec(delays=1, dopplers=0)), (31, REF_REGION), (64, WIDE_REGION),
+                      (128, RegionSpec(delays=(1, 2, 3), dopplers=(-2, -1, 0, 1, 2)))):
+        edge = sys.float_info.max / (8 * region.size * (n + 1)) - 1
         with pytest.raises(ValueError, match="overflows"):
             SolverConfig(n=n, region=region, delta=1.001 * edge)
-        config = SolverConfig(n=n, region=region, gamma1=3, gamma2=20, delta=0.999 * edge)
-        # so close to the edge the unused trailing entry of D [x; 1] overflows in pmli_inner
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, trace = run(config)
-        assert np.isfinite(trace.c_values + trace.m2_values).all()
+        for seed in range(3):
+            config = SolverConfig(n=n, region=region, gamma1=3, gamma2=20, seed=seed,
+                                  delta=0.999 * edge)
+            _, trace = run(config, collect_inner=True)
+            assert np.isfinite(trace.c_values + trace.m2_values).all()
+            assert all(np.isfinite(block).all() for block in trace.inner_objectives)
 
 
 # ------------------------------------------------------------ init/aux
