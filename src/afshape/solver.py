@@ -137,16 +137,11 @@ class SolverConfig:
                              f"|R|={self.region.size}, n={self.n}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": list(self.region.delays),
-            "p": list(self.region.dopplers),
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "delta": self.delta,
-        }
+        """The settings in declaration order, the region written as k and p after n."""
+        data = {"n": self.n, "k": list(self.region.delays), "p": list(self.region.dopplers)}
+        data.update((f.name, getattr(self, f.name)) for f in fields(self)
+                    if f.name not in ("n", "region"))
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SolverConfig":
@@ -165,15 +160,6 @@ class SolverConfig:
 CONFIG_KEYS = frozenset({f.name for f in fields(SolverConfig)} - {"region"} | {"k", "p"})
 
 
-def _indented_number_list(values: list, pad: str) -> str:
-    """json.dumps(values, indent=2) for a flat list of numbers nested at pad."""
-    if not values:
-        return "[]"
-    item_pad = pad + "  "
-    body = json.dumps(values)[1:-1].replace(", ", ",\n" + item_pad)
-    return f"[\n{item_pad}{body}\n{pad}]"
-
-
 @dataclass(eq=False)
 class ConvergenceTrace:
     """Per-outer-iteration record of one solve.
@@ -181,8 +167,9 @@ class ConvergenceTrace:
     Row 0 describes the initial code (before any iteration). When the
     inner trace is collected, inner_objectives[i] holds the UQP objective
     of every iterate outer iteration i + 1 visited, as one float64 array of
-    steps + 1 values (there is no inner block behind row 0); to_json_dict
-    turns the arrays into plain lists.
+    steps + 1 values (there is no inner block behind row 0). to_json_dict
+    gives every field of trace.json in order, the arrays as plain lists, and
+    write_json streams that dict through json.dump with indent=2.
     A finished solve also records the code it started from, why it stopped
     ("epsilon" when the relative change of C fell to epsilon, "gamma1" at
     the outer-iteration cap), that last relative change of C, and the two
@@ -216,52 +203,25 @@ class ConvergenceTrace:
             lines.append(f"{t},{c:.17g},{m2:.17g}")
         Path(path).write_text("\n".join(lines) + "\n")
 
-    def _json_fields(self) -> dict:
-        """The fields of trace.json in order, inner blocks still as arrays."""
+    def to_json_dict(self) -> dict:
+        inner = self.inner_objectives
         return {
             "outer_iter": list(self.outer_iters),
             "C": list(self.c_values),
             "m2_objective": list(self.m2_values),
             "elapsed_ms": list(self.elapsed_ms),
-            "inner_objectives": self.inner_objectives,
+            "inner_objectives": None if inner is None else [block.tolist() for block in inner],
             "stop_reason": self.stop_reason,
             "final_rel_change": self.final_rel_change,
             "zeta": self.zeta,
             "gamma_x": self.gamma_x,
         }
 
-    def to_json_dict(self) -> dict:
-        payload = self._json_fields()
-        if self.inner_objectives is not None:
-            payload["inner_objectives"] = [block.tolist() for block in self.inner_objectives]
-        return payload
-
     def write_json(self, path) -> None:
-        """Write json.dumps(self.to_json_dict(), indent=2) + "\n", byte for byte.
-
-        indent=2 selects json's pure-Python encoder, which is slow on the
-        inner trace (steps + 1 floats per outer iteration). Here every flat
-        number list, each inner block included, goes through the C encoder
-        and is re-indented by replacing its ", " separators (no number's
-        text contains one); the inner blocks are written one at a time.
-        """
+        """Stream json.dump(self.to_json_dict(), indent=2) plus a newline into path."""
         with open(path, "w") as fh:
-            sep = "{\n  "
-            for key, value in self._json_fields().items():
-                fh.write(f"{sep}{json.dumps(key)}: ")
-                sep = ",\n  "
-                if key == "inner_objectives" and value:
-                    fh.write("[")
-                    block_sep = "\n    "
-                    for block in value:
-                        fh.write(block_sep + _indented_number_list(block.tolist(), "    "))
-                        block_sep = ",\n    "
-                    fh.write("\n  ]")
-                elif isinstance(value, list):
-                    fh.write(_indented_number_list(value, "  "))
-                else:
-                    fh.write(json.dumps(value))
-            fh.write("\n}\n")
+            json.dump(self.to_json_dict(), fh, indent=2)
+            fh.write("\n")
 
 
 @dataclass(eq=False)

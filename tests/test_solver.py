@@ -1,6 +1,7 @@
 """Tests for the cyclic solver: auxiliary updates, UQP construction, PMLI."""
 
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -106,6 +107,15 @@ def test_config_json_round_trip():
     config = small_config(epsilon=1e-5, seed=9, delta=0.02)
     clone = SolverConfig.from_json_dict(config.to_json_dict())
     assert clone == config
+
+
+def test_config_json_keys_follow_the_fields():
+    # the region is written as k and p right after n; every other setting follows in
+    # declaration order, so a new field reaches the JSON config without a second list
+    keys = list(small_config().to_json_dict())
+    others = [f.name for f in fields(SolverConfig) if f.name not in ("n", "region")]
+    assert keys == ["n", "k", "p"] + others
+    assert set(keys) == solver.CONFIG_KEYS
 
 
 def test_config_from_json_rejects_unknown_and_missing():
