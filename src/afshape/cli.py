@@ -104,9 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--gamma1", type=int, help="max outer iterations (default 1000)")
     parser.add_argument("--gamma2", type=int,
                         help="at most this many inner power-method steps per outer step; "
-                             "stops at an exact fixed point (default 500)")
+                             "stops once the step objective no longer rises, or at an exact "
+                             "fixed point on a deeply nulled region (see --epsilon; "
+                             "default 500)")
     parser.add_argument("--epsilon", type=float,
-                        help="relative stopping tolerance on the region energy (default 1e-6)")
+                        help="relative stopping tolerance on the region energy; epsilon * M2 "
+                             "also sets when the inner loop may stop early (default 1e-6)")
     parser.add_argument("--seed", type=int,
                         help="RNG seed for the initial code (default: AFSHAPE_SEED, then 0)")
     parser.add_argument("--delta", type=float,

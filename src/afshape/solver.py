@@ -76,6 +76,17 @@ sqrt(zeta N))^2 (sqrt(q) + sqrt(zeta N))^2, so f is a weighted C with the
 same zero set, and the solve's limit points are stationary for f, not
 necessarily for C.
 
+An MM cycle only has to lower the surrogate, not solve the UQP exactly, so
+PMLI need not run to its fixed point either. The UQP objective g = [x; 1]^H
+D [x; 1] rises by exactly what M2 falls at the cycle's fixed u, and float64
+shows a rise in g no smaller than about eps |g| (eps the machine epsilon).
+run therefore hands PMLI the floor epsilon * M2: while eps |g| is within
+that floor, PMLI stops at its first step whose g does not rise, past which
+its steps only move the phases by rounding until they repeat. Once M2 has
+fallen below eps |g| / epsilon, as on a deeply nulled region, a fall of M2
+the stopping rule cares about may no longer show in g, and PMLI runs to its
+exact fixed point, which is what keeps lowering M2 there.
+
 One cycle, x-step then u-step, is the map mm_step. run drives it: it owns
 the ConvergenceTrace (C, M2 and wall time per row, why the solve stopped),
 on_outer, the stopping rule |C_t - C_{t-1}| <= epsilon * C_{t-1}, and a
@@ -99,6 +110,8 @@ import numpy as np
 # because perfbench/tracer.py wraps afshape.solver.eval_objective
 from .af_core import CodeSequence, RegionSpec, as_integer, eval_objective  # noqa: F401
 from .reformulation import LoadedRegion, build_loaded_region
+
+_EPS = sys.float_info.epsilon  # float64's machine epsilon
 
 
 @dataclass
@@ -337,12 +350,13 @@ def build_uqp(aux: np.ndarray, loaded: LoadedRegion, out: np.ndarray | None = No
 
 
 def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
-               track_objective: bool = False):
+               track_objective: bool = False, floor: float = 0.0):
     """Power-method-like iterations on the pinned-tail UQP.
 
     Repeats x <- exp(j arg(first N entries of D [x; 1])) for at most gamma2
-    steps; stops at an exact fixed point. The trailing entry of the lifted
-    vector stays pinned at 1. When D's leading N x N block is PSD the
+    steps; stops at an exact fixed point, or, when floor allows it, at the
+    first step whose objective does not rise. The trailing entry of the
+    lifted vector stays pinned at 1. When D's leading N x N block is PSD the
     objective [x; 1]^H D [x; 1] never decreases: consecutive lifted vectors
     differ only in their head, so the trailing row and column of D never
     enter the second-order term of the step. Entries of D [x; 1] that are
@@ -355,11 +369,24 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
     gamma2 steps would. The test is on the bytes, because == takes -0.0 for
     0.0 and never matches NaN.
 
+    floor is an absolute objective gain below which the caller has no use
+    for further steps (run passes epsilon * M2). The smallest rise float64
+    can show in the objective f is about eps |f|, with eps the machine
+    epsilon, so when eps |f_0| <= floor at the start code the loop also
+    evaluates f = Re(vdot(xbar, D xbar)) at every iterate, from the D xbar
+    it forms anyway, and returns the first iterate whose f does not exceed
+    its predecessor's. Past that step PMLI only moves the phases by
+    rounding until they repeat. With the default floor = 0, or when
+    eps |f_0| > floor, a rise could still matter to the caller, and the loop
+    runs to the exact fixed point: that keeps deep nulls reachable, where
+    M2 has fallen so far that only the exact loop still lowers it.
+
     With track_objective=True the return value is (code, objectives) where
     objectives holds the UQP objective of every iterate visited, from
     x_start to the returned code: steps + 1 values for the steps taken. A
     stop at a fixed point ends the array with two equal values, and every
-    later value of a gamma2-step run would repeat them.
+    later value of a gamma2-step run would repeat them; an objective stop
+    ends it with the value that did not rise.
 
     At small N numpy's per-call overhead outweighs the arithmetic, so the
     loop allocates nothing per step: the lifted vector, D [x; 1] and two
@@ -386,42 +413,56 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
     head_re = head.real
     head_im = head.imag
     objectives = []
-    for _ in range(gamma2):
+    value = None
+    watch = floor > 0.0  # the start code's objective decides it in the first step
+    for step in range(gamma2):
         np.cos(phases, out=cos_part)
         np.sin(phases, out=sin_part)
         np.dot(d_mat, xbar, out=y)
-        if track_objective:
-            objectives.append(float(np.vdot(xbar, y).real))
+        if watch or track_objective:
+            last, value = value, float(np.vdot(xbar, y).real)
+            if track_objective:
+                objectives.append(value)
+            if step == 0:
+                watch = watch and _EPS * abs(value) <= floor
+            elif watch and not value > last:
+                break
         np.arctan2(head_im, head_re, out=new_phases)  # np.angle(head), bit for bit
         if np.count_nonzero(head) < n:
             zero = head == 0
             new_phases[zero] = phases[zero]
         if new_phases.tobytes() == phases.tobytes():
+            if track_objective:
+                objectives.append(value)  # the fixed point's objective, from this step
             break
         phases, new_phases = new_phases, phases
+    else:
+        if track_objective:
+            np.cos(phases, out=cos_part)
+            np.sin(phases, out=sin_part)
+            np.dot(d_mat, xbar, out=y)
+            objectives.append(float(np.vdot(xbar, y).real))
     result = CodeSequence(phases=phases)
     if track_objective:
-        np.cos(phases, out=cos_part)
-        np.sin(phases, out=sin_part)
-        np.dot(d_mat, xbar, out=y)
-        objectives.append(float(np.vdot(xbar, y).real))
         return result, np.asarray(objectives)
     return result
 
 
 def mm_step(x: CodeSequence, s: np.ndarray, loaded: LoadedRegion, d_mat: np.ndarray,
-            gamma2: int, track_objective: bool = False):
+            gamma2: int, track_objective: bool = False, floor: float = 0.0):
     """One MM cycle (x-step, then u-step at the new code): (x, s, C, M2, inner).
 
     Writes sqrt(zeta N) s into the border of d_mat, a D that build_uqp built
     for loaded, and never writes x or s. inner is PMLI's objective block, or
-    None unless track_objective is set.
+    None unless track_objective is set. floor goes to pmli_inner: with the
+    default 0 the x-step runs PMLI to an exact fixed point; run passes
+    epsilon * M2 so that it may stop once its objective no longer rises.
     """
     d_mat = build_uqp(s, loaded, out=d_mat)
     if track_objective:
-        x, inner = pmli_inner(d_mat, x, gamma2, track_objective=True)
+        x, inner = pmli_inner(d_mat, x, gamma2, track_objective=True, floor=floor)
     else:
-        x, inner = pmli_inner(d_mat, x, gamma2), None
+        x, inner = pmli_inner(d_mat, x, gamma2, floor=floor), None
     s, c, m2 = update_aux(x, loaded)
     return x, s, c, m2, inner
 
@@ -436,6 +477,13 @@ def run(config: SolverConfig, collect_inner: bool = False, on_outer=None):
     on_outer to observe the SolverState after each outer iteration. An M2
     rise above 1e-12 * 2 |R| zeta N, rounding on terms of that size, means
     a broken x-step or u-step and raises RuntimeError.
+
+    Each x-step gets floor = epsilon * M2 at the current code: a cycle that
+    lowers M2 by less than that is below what the stopping rule resolves, so
+    PMLI may stop at its first step whose objective does not rise, as long
+    as float64 can still show a rise of that size (see pmli_inner). On a
+    nulled region, where M2 is smaller than that, PMLI runs to its exact
+    fixed point as before.
     """
     loaded = build_loaded_region(config.n, config.region, delta=config.delta)
     x = init_random_code(config.n, config.seed)
@@ -448,7 +496,8 @@ def run(config: SolverConfig, collect_inner: bool = False, on_outer=None):
     trace.record(0, c_prev, m2_prev, 0.0)
     state = SolverState(x=x, loaded=loaded, trace=trace, outer_iter=0)
     for t in range(1, config.gamma1 + 1):
-        x, s, c_now, m2, inner = mm_step(x, s, loaded, d_mat, config.gamma2, collect_inner)
+        x, s, c_now, m2, inner = mm_step(x, s, loaded, d_mat, config.gamma2, collect_inner,
+                                         floor=config.epsilon * m2_prev)
         if m2 - m2_prev > m2_slack:
             raise RuntimeError(f"M2 rose from {m2_prev:.17g} to {m2:.17g} in outer iteration "
                                f"{t}, more than the rounding slack {m2_slack:.3g}")

@@ -110,6 +110,26 @@ def pmli_inner_fixed_count(d_mat, x_start, gamma2, track_objective=False):
     return result
 
 
+def pmli_inner_reference(d_mat, x_start, gamma2, floor=0.0, track_objective=False):
+    """afshape.solver.pmli_inner built on pmli_inner_fixed_count alone.
+
+    When floor > 0 and eps |f_0| <= floor, with f_0 the start code's
+    objective and eps float64's machine epsilon, the fixed-count trajectory
+    is cut at its first objective that does not exceed the one before, and
+    that iterate is returned with the objectives up to it. Otherwise the
+    fixed-count result is returned as it is. The package must return the
+    same code, bit for bit; on the cut path also the same objectives.
+    """
+    result, objectives = pmli_inner_fixed_count(d_mat, x_start, gamma2, track_objective=True)
+    if floor > 0 and np.finfo(float).eps * abs(objectives[0]) <= floor:
+        flat = np.flatnonzero(~(objectives[1:] > objectives[:-1]))
+        if flat.size:
+            steps = int(flat[0]) + 1
+            result = pmli_inner_fixed_count(d_mat, x_start, steps)
+            objectives = objectives[:steps + 1]
+    return (result, objectives) if track_objective else result
+
+
 def build_bx(aux, loaded):
     """Hermitian (N+1) x (N+1) form B with [x; 1]^H B [x; 1] = M2 - const.
 

@@ -1,11 +1,12 @@
 """Tests for the cyclic solver: auxiliary updates, UQP construction, PMLI."""
 
+import dataclasses
 import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from afshape import (
@@ -29,8 +30,8 @@ from afshape import (
 )
 from afshape import solver
 from afshape.cli import main
-from oracle import (build_bx, build_uqp_frobenius, pmli_inner_fixed_count, quadratic_form,
-                    random_psd, update_aux_two_halves)
+from oracle import (build_bx, build_uqp_frobenius, pmli_inner_fixed_count, pmli_inner_reference,
+                    quadratic_form, random_psd, update_aux_two_halves)
 
 SMALL_REGION = RegionSpec(delays=(1, 2), dopplers=(2, 3, -3))
 REF_REGION = RegionSpec(delays=(5, 6, 7), dopplers=(-15, -14, -13, 11, 12, 13, 14))
@@ -473,16 +474,56 @@ def test_run_builds_one_uqp_matrix_per_solve(monkeypatch):
 def test_solve_matches_frobenius_gamma_on_ref31(monkeypatch):
     # both bounds keep D's leading N x N block PSD and PMLI reaches the same
     # fixed points, so the reference solve may move only by rounding: the
-    # stated tolerance. The oracle ignores out and builds D afresh each time
-    config = SolverConfig(n=31, region=REF_REGION, gamma1=1000, gamma2=500, seed=0)
+    # stated tolerance. epsilon = 1e-15 keeps PMLI on its exact path, which
+    # runs to those fixed points, and the solve still ends at the gamma1 cap.
+    # The oracle ignores out and builds D afresh each time
+    config = SolverConfig(n=31, region=REF_REGION, gamma1=1000, gamma2=500, epsilon=1e-15,
+                          seed=0)
     _, trace = run(config)
     monkeypatch.setattr(solver, "build_uqp", build_uqp_frobenius)
     _, ref_trace = run(config)
-    assert trace.stop_reason == ref_trace.stop_reason
-    assert trace.outer_iters[-1] == ref_trace.outer_iters[-1]
+    assert trace.stop_reason == ref_trace.stop_reason == "gamma1"
+    assert trace.outer_iters[-1] == ref_trace.outer_iters[-1] == 1000
     c, ref_c = trace.c_values[-1], ref_trace.c_values[-1]
     assert abs(c - ref_c) <= 1e-11 * ref_c
     assert np.all(np.diff(trace.m2_values) <= 0.0)
+
+
+def iterations_to(c_values, fraction):
+    """First outer iteration whose C is at most fraction * C0, or None."""
+    hits = np.flatnonzero(np.asarray(c_values) <= fraction * c_values[0])
+    return int(hits[0]) if hits.size else None
+
+
+def test_default_solve_stays_near_the_exact_path_on_ref31():
+    # run lets PMLI stop once its objective no longer rises; the same solve with
+    # PMLI run to exact fixed points (epsilon = 1e-15 makes every floor too small
+    # for that stop) differs only through those last rounding-level steps
+    config = SolverConfig(n=31, region=REF_REGION, seed=0)
+    _, trace = run(config)
+    _, exact = run(dataclasses.replace(config, epsilon=1e-15))
+    assert trace.stop_reason == exact.stop_reason
+    assert trace.outer_iters[-1] == exact.outer_iters[-1]
+    for fraction in (0.1, 0.01):
+        assert iterations_to(trace.c_values, fraction) == iterations_to(exact.c_values, fraction)
+        assert iterations_to(trace.c_values, fraction) is not None
+    c, exact_c = trace.c_values[-1], exact.c_values[-1]
+    assert abs(c - exact_c) <= 1e-5 * exact_c
+    assert np.all(np.diff(trace.m2_values) <= 0.0)
+
+
+@pytest.mark.parametrize("n, delays, dopplers, seed", [
+    (10, (1,), (-4,), 2),
+    (9, (5, 8), (0,), 2),
+], ids=["n10-k1-p-4", "n9-k5,8-p0"])
+def test_default_solve_keeps_deep_nulls(n, delays, dopplers, seed):
+    # M2 here falls far below what the UQP objective can resolve (eps |f|), so
+    # PMLI must keep running to exact fixed points. Without that gate, an
+    # objective stop that kept the last rising iterate stalls the first solve
+    # at C = 2.2e-12, and the stop pmli_inner makes ends the second at 1.7e-18
+    config = SolverConfig(n=n, region=RegionSpec(delays=delays, dopplers=dopplers), seed=seed)
+    _, trace = run(config)
+    assert trace.c_values[-1] <= 1e-20 * trace.c_values[0]
 
 
 # ----------------------------------------------------------------- PMLI
@@ -585,6 +626,48 @@ def test_pmli_at_fixed_point_returns_after_one_step(pmli_steps):
     assert pmli_steps.steps == 1
     assert result.phases.tobytes() == pmli_inner_fixed_count(d_mat, start, 500).phases.tobytes()
     assert result.phases.tobytes() == start.phases.tobytes()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(uqp_cases(), st.integers(min_value=0, max_value=63))
+def test_pmli_objective_stop_matches_reference(pmli_steps, case, zero_row):
+    # a floor at or above eps |f_0| lets PMLI stop at its first objective that
+    # does not rise; the reference cuts the fixed-count trajectory there
+    n, region, delta, seed = case
+    loaded = build_loaded_region(n, region, delta=delta)
+    x = init_random_code(n, seed)
+    s, _, _ = update_aux(x, loaded)
+    d_mat = build_uqp(s, loaded)
+    zero_row %= n
+    d_mat[zero_row, :] = 0.0  # head entry zero_row is exactly zero at every step
+    d_mat[:, zero_row] = 0.0  # (keeps the leading block Hermitian PSD)
+    gamma2 = 1000
+    _, start = pmli_inner_fixed_count(d_mat, x, 1, track_objective=True)
+    floor = sys.float_info.epsilon * abs(start[0])
+    assume(floor > 0)
+    before = x.phases.tobytes()
+
+    pmli_steps.steps = 0
+    result, objectives = pmli_inner(d_mat, x, gamma2, track_objective=True, floor=floor)
+    assert pmli_steps.steps == objectives.size - 1
+    pmli_steps.steps = 0
+    untracked = pmli_inner(d_mat, x, gamma2, floor=floor)
+    assert pmli_steps.steps == objectives.size - 1
+    assert x.phases.tobytes() == before
+
+    assert np.all(objectives[1:-1] > objectives[:-2])
+    if objectives.size < gamma2 + 1:
+        assert not objectives[-1] > objectives[-2]
+    ref_result, ref_objectives = pmli_inner_reference(d_mat, x, gamma2, floor=floor,
+                                                      track_objective=True)
+    assert objectives.tobytes() == ref_objectives.tobytes()
+    assert result.phases.tobytes() == ref_result.phases.tobytes()
+    assert untracked.phases.tobytes() == ref_result.phases.tobytes()
+    assert result.phases[zero_row] == x.phases[zero_row]
+    # just below the gate the loop is the exact one
+    exact = pmli_inner(d_mat, x, gamma2, floor=np.nextafter(floor, 0.0))
+    assert exact.phases.tobytes() == pmli_inner_fixed_count(d_mat, x, gamma2).phases.tobytes()
 
 
 @pytest.mark.parametrize("track_objective", [False, True])
@@ -700,10 +783,11 @@ def stale_x_step(monkeypatch, from_call=5):
     """
     starts = []
 
-    def stale(d_mat, x_start, gamma2, track_objective=False):
+    def stale(d_mat, x_start, gamma2, track_objective=False, floor=0.0):
         starts.append(x_start)
         if len(starts) < from_call:
-            return pmli_inner(d_mat, x_start, gamma2, track_objective=track_objective)
+            return pmli_inner(d_mat, x_start, gamma2, track_objective=track_objective,
+                              floor=floor)
         x0 = CodeSequence(phases=starts[0].phases)
         return (x0, np.zeros(2)) if track_objective else x0
 
@@ -750,7 +834,8 @@ def test_mm_step_loop_reproduces_run(config, track_objective, stop_reason):
     for _ in range(config.gamma1):
         phases, s_before = x.phases.copy(), s.copy()
         x_next, s_next, c_now, m2, inner = mm_step(x, s, loaded, d_mat, config.gamma2,
-                                                   track_objective)
+                                                   track_objective,
+                                                   floor=config.epsilon * m2)
         assert x.phases.tobytes() == phases.tobytes() and s.tobytes() == s_before.tobytes()
         x, s = x_next, s_next
         c_rows.append(c_now)
