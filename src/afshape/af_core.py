@@ -59,16 +59,18 @@ class CodeSequence:
         return cls(phases=np.angle(np.asarray(values, dtype=complex)))
 
 
-def as_integer(value, name: str) -> int:
-    """value as an int, or ValueError unless it is a finite integer and not a bool."""
+def as_integer(value, name: str, least: int | None = None) -> int:
+    """value as an int, or ValueError unless it is a finite integer, not a bool, >= least."""
     # True would pass as 1; compared, not converted: int(inf) and float(10**400) overflow
     if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
             or not abs(value) <= sys.float_info.max or int(value) != value):
         raise ValueError(f"{name} must be a finite integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {int(value)}")
     return int(value)
 
 
-def _int_indices(value, name: str) -> tuple:
+def _int_indices(value, name: str, check=None) -> tuple:
     # a text or a mapping is one entry, which as_integer refuses unless it is text
     single = isinstance(value, (str, Mapping)) or not np.iterable(value)
     out = set()
@@ -86,6 +88,9 @@ def _int_indices(value, name: str) -> tuple:
                                  f"as an integer or an a..b range") from None
             if lo > hi:
                 raise ValueError(f"{name} indices: range {token.strip()!r} is empty")
+            if check is not None:  # refuses an end outside the code before expanding
+                check(lo)
+                check(hi)
             out.update(range(lo, hi + 1))
     return tuple(sorted(out))
 
@@ -101,7 +106,7 @@ class RegionSpec:
     holds for CLI flags, JSON config files and the library alike. Sets are
     stored sorted and deduplicated, so iteration order is deterministic.
     The mainlobe pair (0, 0) is rejected outright; range checks against a
-    concrete code length happen in validate_for.
+    concrete code length happen in validate_for (and in for_length).
     """
 
     delays: tuple
@@ -116,6 +121,16 @@ class RegionSpec:
             raise ValueError("region must not contain the (0, 0) mainlobe bin")
         object.__setattr__(self, "delays", delays)
         object.__setattr__(self, "dopplers", dopplers)
+
+    @classmethod
+    def for_length(cls, n: int, delays, dopplers) -> "RegionSpec":
+        """RegionSpec(delays, dopplers) with each a..b range's ends checked against n.
+
+        The check comes before a range is expanded, so a range far outside the
+        code costs nothing in its length; validate_for(n) checks the rest.
+        """
+        return cls(_int_indices(delays, "delay", lambda k: _check_lag(k, n)),
+                   _int_indices(dopplers, "Doppler", lambda p: _check_doppler(p, n)))
 
     def validate_for(self, n: int) -> None:
         """Check every index against the ranges allowed for code length n.

@@ -1,15 +1,24 @@
 """Command-line front end: configure a solve, run it, export artifacts.
 
-A run writes six files into --out (plus trace.json when --verbose):
+A run writes six files into --out, and trace.json when --verbose:
 
     code.csv        index, phase_rad, re, im (17 significant digits)
     af_grid.csv     |r| magnitude grid, lags -(N-1)..N-1 as rows, Doppler bins as columns
     af_grid_db.csv  the same grid in mainlobe-referenced dB
     trace.csv       outer_iter, C, m2_objective
     report.json     before/after region reports and the suppression figure
-    manifest.json   config echo, version, timestamps, file paths, headline numbers,
-                    stop_reason ("epsilon" or "gamma1"), the final relative change of C,
-                    and the loading level zeta and the x-step's gamma_x
+    manifest.json   config echo, version, timestamps, file paths, final_c,
+                    suppression_db, then the run record
+    trace.json      (--verbose) the full trace with timing and inner objectives,
+                    then the run record
+
+run_and_export returns the manifest dict it writes. Both JSON files end
+with the same run record, ConvergenceTrace.run_record: why the solve
+stopped, the last relative change of C, and the x-step's two per-solve
+constants (the loading level and its bound on Q's top eigenvalue); the
+verbose log prints it too. final_c is the FFT evaluator's region energy,
+the bits of af_core.eval_objective and of report.json's after energy; its
+last digits can differ from trace.csv's last C, which the u-step computes.
 
 Settings come from flags, from a JSON config file (--config), or both;
 flags win over file values, and AFSHAPE_SEED supplies the seed when
@@ -26,7 +35,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,34 +58,6 @@ _OUTPUT_NAMES = {
     "report": "report.json",
     "manifest": "manifest.json",
 }
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to identify and reproduce one finished run."""
-
-    config: dict
-    tool_version: str
-    started: str
-    finished: str
-    outputs: dict
-    final_c: float
-    suppression_db: float
-    stop_reason: str
-    final_rel_change: float
-    zeta: float
-    gamma_x: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RunManifest":
-        names = [f.name for f in fields(cls)]
-        unknown = set(data) - set(names)
-        if unknown:
-            raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
-        return cls(**{name: data[name] for name in names})
 
 
 def load_config_file(path) -> dict:
@@ -198,8 +178,11 @@ def _log_outer(state) -> None:
                      state.trace.c_values[-1], state.trace.m2_values[-1])
 
 
-def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> RunManifest:
-    """Solve, evaluate, and write every run artifact into outdir.
+def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> dict:
+    """Solve, evaluate, write every run artifact into outdir; returns the manifest.
+
+    The manifest is the dict written to manifest.json, ending with the
+    trace's run record.
 
     Any failure after files have started to appear removes the partial
     outputs before the exception propagates.
@@ -236,29 +219,26 @@ def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> RunMa
         if verbose:
             written.append(paths["trace_json"])
             trace.write_json(paths["trace_json"])
-        manifest = RunManifest(
-            config=config.to_json_dict(),
-            tool_version=__version__,
-            started=started,
-            finished=_utc_now(),
-            outputs={name: str(path.resolve()) for name, path in paths.items()},
-            final_c=comparison.after.region_energy,
-            suppression_db=comparison.suppression_db,
-            stop_reason=trace.stop_reason,
-            final_rel_change=trace.final_rel_change,
-            zeta=trace.zeta,
-            gamma_x=trace.gamma_x,
-        )
+        manifest = {
+            "config": config.to_json_dict(),
+            "tool_version": __version__,
+            "started": started,
+            "finished": _utc_now(),
+            "outputs": {name: str(path.resolve()) for name, path in paths.items()},
+            "final_c": comparison.after.region_energy,
+            "suppression_db": comparison.suppression_db,
+            **trace.run_record(),
+        }
         written.append(paths["manifest"])
-        _write_json(paths["manifest"], manifest.to_json_dict())
+        _write_json(paths["manifest"], manifest)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
         raise
     if verbose:
-        logger.info("finished after %d outer iterations (stop: %s): C=%.6e, "
-                    "suppression %.2f dB", trace.outer_iters[-1], trace.stop_reason,
-                    trace.c_values[-1], comparison.suppression_db)
+        record = ", ".join(f"{key}={value}" for key, value in trace.run_record().items())
+        logger.info("finished after %d outer iterations (%s): C=%.6e, suppression %.2f dB",
+                    trace.outer_iters[-1], record, trace.c_values[-1], comparison.suppression_db)
     return manifest
 
 
@@ -282,6 +262,6 @@ def main(argv=None) -> int:
     except (FloatingPointError, RuntimeError) as exc:
         print(f"afshape: numerical failure: {exc}", file=sys.stderr)
         return 3
-    print(f"final region energy {manifest.final_c:.6g}; region average suppressed by "
-          f"{manifest.suppression_db:.2f} dB; outputs in {args.out}")
+    print(f"final region energy {manifest['final_c']:.6g}; region average suppressed by "
+          f"{manifest['suppression_db']:.2f} dB; outputs in {args.out}")
     return 0

@@ -129,10 +129,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         # the integer settings and the least value each may take
         for name, least in (("n", 2), ("gamma1", 1), ("gamma2", 1), ("seed", 0)):
-            value = as_integer(getattr(self, name), name)
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
-            setattr(self, name, value)
+            setattr(self, name, as_integer(getattr(self, name), name, least))
         for name in ("epsilon", "delta"):
             value = getattr(self, name)
             # bool is a Real; compared, not converted: float(10**400) raises OverflowError
@@ -165,8 +162,8 @@ class SolverConfig:
             if required not in data:
                 raise ValueError(f"missing required config key {required!r}")
         kwargs = {key: value for key, value in data.items() if key not in ("n", "k", "p")}
-        region = RegionSpec(delays=data["k"], dopplers=data["p"])
-        return cls(n=data["n"], region=region, **kwargs)
+        n = as_integer(data["n"], "n", 2)  # first: k and p's a..b ranges are checked against n
+        return cls(n=n, region=RegionSpec.for_length(n, data["k"], data["p"]), **kwargs)
 
 
 # keys of a JSON config: the settable fields, with the region given as k and p
@@ -183,10 +180,12 @@ class ConvergenceTrace:
     steps + 1 values (there is no inner block behind row 0). to_json_dict
     gives every field of trace.json in order, the arrays as plain lists, and
     write_json streams that dict through json.dump with indent=2.
-    A finished solve also records the code it started from, why it stopped
-    ("epsilon" when the relative change of C fell to epsilon, "gamma1" at
-    the outer-iteration cap), that last relative change of C, and the two
-    per-solve constants of the x-step: the loading level zeta and gamma_x.
+    A finished solve also records the code it started from and its run
+    record: why it stopped ("epsilon" when the relative change of C fell to
+    epsilon, "gamma1" at the outer-iteration cap), that last relative change
+    of C, and the two per-solve constants of the x-step, the loading level
+    zeta and gamma_x. run_record is the one list of those fields; trace.json
+    and manifest.json both end with it, so a new field is added there alone.
     """
 
     outer_iters: list = field(default_factory=list)
@@ -224,11 +223,13 @@ class ConvergenceTrace:
             "m2_objective": list(self.m2_values),
             "elapsed_ms": list(self.elapsed_ms),
             "inner_objectives": None if inner is None else [block.tolist() for block in inner],
-            "stop_reason": self.stop_reason,
-            "final_rel_change": self.final_rel_change,
-            "zeta": self.zeta,
-            "gamma_x": self.gamma_x,
+            **self.run_record(),
         }
+
+    def run_record(self) -> dict:
+        """The fields trace.json and manifest.json both end with, in file order."""
+        return {"stop_reason": self.stop_reason, "final_rel_change": self.final_rel_change,
+                "zeta": self.zeta, "gamma_x": self.gamma_x}
 
     def write_json(self, path) -> None:
         """Stream json.dump(self.to_json_dict(), indent=2) plus a newline into path."""

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from afshape import LoadingError, __version__
 from afshape.cli import (
     ConfigError,
-    RunManifest,
     main,
     parse_config,
     run_and_export,
@@ -196,6 +196,29 @@ def test_main_aliased_region_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("region, message", [
+    ({"k": "1..3000000", "p": "1"}, "delay lag 3000000 outside"),
+    ({"k": "1", "p": "-3000000..1"}, "Doppler bin -3000000 outside"),
+], ids=["delay", "doppler"])
+@pytest.mark.parametrize("source", ["flags", "file"])
+def test_main_huge_range_exit_2_before_expanding(region, message, source, tmp_path, capsys):
+    # the range's ends are checked against n first: expanded, it would take ~300 MB
+    if source == "flags":
+        argv = ["--n", "31", f"--k={region['k']}", f"--p={region['p']}"]
+    else:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"n": 31, **region}))
+        argv = ["--config", str(path)]
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--dry-run"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert message in capsys.readouterr().err
+
+
 def test_main_overflowing_delta_exit_2(tmp_path, capsys):
     # 2 |R| (1 + delta) N overflows at 1e307, which the solve would only find as a NaN
     # (exit 3); at 0.6x that edge M2's constant is finite, but the verbose trace's UQP
@@ -305,7 +328,7 @@ def test_run_and_export_artifacts(tmp_path):
     assert manifest_data["suppression_db"] == report["suppression_db"]
     assert manifest_data["stop_reason"] == "gamma1"  # 10 outer steps, epsilon 1e-6
     assert manifest_data["final_rel_change"] > config.epsilon
-    assert manifest == RunManifest.from_json_dict(manifest_data)
+    assert manifest == manifest_data
 
 
 def test_run_and_export_verbose_adds_inner_trace(tmp_path):
@@ -315,8 +338,11 @@ def test_run_and_export_verbose_adds_inner_trace(tmp_path):
     assert payload["inner_objectives"] is not None
     assert len(payload["inner_objectives"]) == payload["outer_iter"][-1]
     manifest_data = json.loads((out / "manifest.json").read_text())
-    for key in ("stop_reason", "final_rel_change"):
-        assert payload[key] == manifest_data[key]
+    # both files end with the same run record: keys, values and order
+    record = ["stop_reason", "final_rel_change", "zeta", "gamma_x"]
+    assert list(payload)[-len(record):] == record
+    assert list(manifest_data)[-len(record):] == record
+    assert [payload[key] for key in record] == [manifest_data[key] for key in record]
     assert "stop_reason" not in (out / "trace.csv").read_text()
 
 
@@ -343,9 +369,5 @@ def test_reruns_are_byte_identical(tmp_path):
 
 def test_manifest_round_trip_is_lossless(tmp_path):
     manifest = run_and_export(small_solver_config(epsilon=1.0), tmp_path / "out")
-    assert manifest.stop_reason == "epsilon"
-    clone = RunManifest.from_json_dict(json.loads(json.dumps(manifest.to_json_dict())))
-    assert clone == manifest
-    assert clone.final_rel_change == manifest.final_rel_change
-    with pytest.raises(ValueError):
-        RunManifest.from_json_dict({"config": {}, "bogus": 1})
+    assert manifest["stop_reason"] == "epsilon"
+    assert manifest == json.loads((tmp_path / "out" / "manifest.json").read_text())
