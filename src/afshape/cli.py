@@ -12,10 +12,12 @@ A run writes six files into --out, and trace.json when --verbose:
     trace.json      (--verbose) the full trace with timing and inner objectives,
                     then the run record
 
-run_and_export returns the manifest dict it writes. Both JSON files end
-with the same run record, ConvergenceTrace.run_record: why the solve
-stopped, the last relative change of C, and the x-step's two per-solve
-constants (the loading level and its bound on Q's top eigenvalue); the
+Every solve keeps its inner blocks; --verbose chooses only whether
+progress is logged and trace.json is written. run_and_export returns the
+manifest dict it writes. Both JSON files end with the same run record,
+ConvergenceTrace.run_record: why the solve stopped, the last relative
+change of C, the x-step's two per-solve constants (the loading level and
+its bound on Q's top eigenvalue) and the solve's total inner steps; the
 verbose log prints it too. final_c is the FFT evaluator's region energy,
 the bits of af_core.eval_objective and of report.json's after energy; its
 last digits can differ from trace.csv's last C, which the u-step computes.
@@ -25,7 +27,8 @@ flags win over file values, and AFSHAPE_SEED supplies the seed when
 neither does. SolverConfig.from_json_dict checks the merged settings, and
 --k/--p and a file's k/p take the index-set format RegionSpec reads. Exit
 codes: 0 success, 2 configuration error, 3 numerical failure, a rise of the
-surrogate M2 included (partial outputs are removed on failure).
+surrogate M2 included. A run that fails while writing removes every one of
+its output files, so no manifest is left beside missing files.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dry-run", action="store_true",
                         help="validate the configuration, print it, and exit")
     parser.add_argument("--verbose", action="store_true",
-                        help="log progress and record the inner-iteration objective trace")
+                        help="log progress and write trace.json")
     return parser
 
 
@@ -184,8 +187,8 @@ def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> dict:
     The manifest is the dict written to manifest.json, ending with the
     trace's run record.
 
-    Any failure after files have started to appear removes the partial
-    outputs before the exception propagates.
+    A failure while writing removes every output file of the run, those an
+    earlier run left in outdir included, before the exception propagates.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -194,8 +197,7 @@ def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> dict:
         logger.info("starting solve: n=%d, region %dx%d, gamma1=%d, gamma2=%d",
                     config.n, len(config.region.delays), len(config.region.dopplers),
                     config.gamma1, config.gamma2)
-    x_final, trace = run(config, collect_inner=verbose,
-                         on_outer=_log_outer if verbose else None)
+    x_final, trace = run(config, on_outer=_log_outer if verbose else None)
     grid = af_grid(x_final)
     comparison = compare(trace.initial_code, x_final, config.region, after_grid=grid)
 
@@ -204,20 +206,13 @@ def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> dict:
         paths["trace_json"] = outdir / "trace.json"
     else:
         (outdir / "trace.json").unlink(missing_ok=True)  # left by an earlier verbose run
-    written = []  # each path is listed before its writer runs, so a partial file is removed too
     try:
-        written.append(paths["code"])
         _write_code_csv(x_final, paths["code"])
-        written.append(paths["af_grid"])
         grid.to_csv(paths["af_grid"])
-        written.append(paths["af_grid_db"])
         grid.to_csv(paths["af_grid_db"], db=True)
-        written.append(paths["trace"])
         trace.to_csv(paths["trace"])
-        written.append(paths["report"])
         _write_json(paths["report"], comparison.to_json_dict())
         if verbose:
-            written.append(paths["trace_json"])
             trace.write_json(paths["trace_json"])
         manifest = {
             "config": config.to_json_dict(),
@@ -229,10 +224,9 @@ def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> dict:
             "suppression_db": comparison.suppression_db,
             **trace.run_record(),
         }
-        written.append(paths["manifest"])
         _write_json(paths["manifest"], manifest)
     except BaseException:
-        for path in written:
+        for path in paths.values():  # the whole output set, an earlier run's files too
             path.unlink(missing_ok=True)
         raise
     if verbose:

@@ -208,8 +208,8 @@ def build_loaded_region(n: int, region: RegionSpec, delta: float = 0.01) -> Load
     a single cell, where the computed lambda_max(Q) can sit an ulp above them.
     """
     delta = float(delta)
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"loading margin delta must be finite and > 0, got {delta}")
+    if not (math.isfinite(delta) and 1.0 + delta > 1.0):  # > 0, and not lost in 1 + delta
+        raise ValueError(f"loading margin delta must be finite with 1 + delta > 1, got {delta}")
     region.validate_for(n)
     zeta = 1.0 + delta
     rows = np.arange(n)

@@ -88,7 +88,8 @@ the stopping rule cares about may no longer show in g, and PMLI runs to its
 exact fixed point, which is what keeps lowering M2 there.
 
 One cycle, x-step then u-step, is the map mm_step. run drives it: it owns
-the ConvergenceTrace (C, M2 and wall time per row, why the solve stopped),
+the ConvergenceTrace (C, M2, wall time and PMLI's objective block per
+row, why the solve stopped),
 on_outer, the stopping rule |C_t - C_{t-1}| <= epsilon * C_{t-1}, and a
 runtime check that M2 never rises. With an identical config and seed the
 solve is fully deterministic.
@@ -137,6 +138,8 @@ class SolverConfig:
                     or not 0 < value <= sys.float_info.max):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
             setattr(self, name, float(value))
+        if 1.0 + self.delta == 1.0:  # the loading level would round to 1, loading nothing
+            raise ValueError(f"delta={self.delta!r} is too small: 1 + delta rounds to 1")
         self.region.validate_for(self.n)
         # every value of the solve must stay finite: with zeta = 1 + delta, ||s|| <= 2 |R|
         # sqrt(1 + zeta), gamma_x <= |R| (2 zeta + sqrt(2)) and gamma_x I - Q <= 2 sqrt(2) |R| I,
@@ -174,25 +177,28 @@ CONFIG_KEYS = frozenset({f.name for f in fields(SolverConfig)} - {"region"} | {"
 class ConvergenceTrace:
     """Per-outer-iteration record of one solve.
 
-    Row 0 describes the initial code (before any iteration). When the
-    inner trace is collected, inner_objectives[i] holds the UQP objective
-    of every iterate outer iteration i + 1 visited, as one float64 array of
-    steps + 1 values (there is no inner block behind row 0). to_json_dict
-    gives every field of trace.json in order, the arrays as plain lists, and
-    write_json streams that dict through json.dump with indent=2.
+    Row 0 describes the initial code (before any iteration); run passes it
+    to the constructor, and record adds one row per outer iteration with its
+    inner block: inner_objectives[i] is the array pmli_inner returned for
+    outer iteration i + 1, the UQP objective of every iterate it visited,
+    steps + 1 values. to_json_dict gives every field of trace.json in order,
+    the arrays as plain lists, and write_json streams that dict through
+    json.dump with indent=2.
     A finished solve also records the code it started from and its run
     record: why it stopped ("epsilon" when the relative change of C fell to
     epsilon, "gamma1" at the outer-iteration cap), that last relative change
-    of C, and the two per-solve constants of the x-step, the loading level
-    zeta and gamma_x. run_record is the one list of those fields; trace.json
-    and manifest.json both end with it, so a new field is added there alone.
+    of C, the two per-solve constants of the x-step, the loading level zeta
+    and gamma_x, and inner_steps, the PMLI steps of the whole solve (the sum
+    of len(block) - 1). run_record is the one list of those fields;
+    trace.json and manifest.json both end with it, so a new field is added
+    there alone.
     """
 
     outer_iters: list = field(default_factory=list)
     c_values: list = field(default_factory=list)
     m2_values: list = field(default_factory=list)
     elapsed_ms: list = field(default_factory=list)
-    inner_objectives: list | None = None
+    inner_objectives: list = field(default_factory=list)
     initial_code: CodeSequence | None = None
     stop_reason: str | None = None
     final_rel_change: float | None = None
@@ -200,13 +206,12 @@ class ConvergenceTrace:
     gamma_x: float | None = None
 
     def record(self, outer_iter: int, c_value: float, m2_value: float,
-               elapsed: float, inner=None) -> None:
+               elapsed: float, inner: np.ndarray) -> None:
         self.outer_iters.append(int(outer_iter))
         self.c_values.append(float(c_value))
         self.m2_values.append(float(m2_value))
         self.elapsed_ms.append(float(elapsed))
-        if self.inner_objectives is not None and inner is not None:
-            self.inner_objectives.append(np.array(inner, dtype=float))
+        self.inner_objectives.append(inner)
 
     def to_csv(self, path) -> None:
         """Deterministic CSV: timing stays out so reruns are byte-identical."""
@@ -216,20 +221,20 @@ class ConvergenceTrace:
         Path(path).write_text("\n".join(lines) + "\n")
 
     def to_json_dict(self) -> dict:
-        inner = self.inner_objectives
         return {
             "outer_iter": list(self.outer_iters),
             "C": list(self.c_values),
             "m2_objective": list(self.m2_values),
             "elapsed_ms": list(self.elapsed_ms),
-            "inner_objectives": None if inner is None else [block.tolist() for block in inner],
+            "inner_objectives": [block.tolist() for block in self.inner_objectives],
             **self.run_record(),
         }
 
     def run_record(self) -> dict:
         """The fields trace.json and manifest.json both end with, in file order."""
         return {"stop_reason": self.stop_reason, "final_rel_change": self.final_rel_change,
-                "zeta": self.zeta, "gamma_x": self.gamma_x}
+                "zeta": self.zeta, "gamma_x": self.gamma_x,
+                "inner_steps": sum(len(block) - 1 for block in self.inner_objectives)}
 
     def write_json(self, path) -> None:
         """Stream json.dump(self.to_json_dict(), indent=2) plus a newline into path."""
@@ -450,34 +455,32 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
 
 
 def mm_step(x: CodeSequence, s: np.ndarray, loaded: LoadedRegion, d_mat: np.ndarray,
-            gamma2: int, track_objective: bool = False, floor: float = 0.0):
+            gamma2: int, floor: float = 0.0):
     """One MM cycle (x-step, then u-step at the new code): (x, s, C, M2, inner).
 
     Writes sqrt(zeta N) s into the border of d_mat, a D that build_uqp built
-    for loaded, and never writes x or s. inner is PMLI's objective block, or
-    None unless track_objective is set. floor goes to pmli_inner: with the
+    for loaded, and never writes x or s. inner is PMLI's objective block,
+    steps + 1 values (see pmli_inner). floor goes to pmli_inner: with the
     default 0 the x-step runs PMLI to an exact fixed point; run passes
     epsilon * M2 so that it may stop once its objective no longer rises.
     """
     d_mat = build_uqp(s, loaded, out=d_mat)
-    if track_objective:
-        x, inner = pmli_inner(d_mat, x, gamma2, track_objective=True, floor=floor)
-    else:
-        x, inner = pmli_inner(d_mat, x, gamma2, floor=floor), None
+    x, inner = pmli_inner(d_mat, x, gamma2, track_objective=True, floor=floor)
     s, c, m2 = update_aux(x, loaded)
     return x, s, c, m2, inner
 
 
-def run(config: SolverConfig, collect_inner: bool = False, on_outer=None):
+def run(config: SolverConfig, on_outer=None):
     """Execute the full cyclic solve; returns (final code, trace).
 
     Builds the UQP matrix D once (see build_uqp), then runs one mm_step per
     outer iteration until the quartic objective's relative change falls to
     epsilon or after gamma1 outer iterations; the trace records which one,
-    the last relative change, the initial code, zeta and gamma_x. Pass
-    on_outer to observe the SolverState after each outer iteration. An M2
-    rise above 1e-12 * 2 |R| zeta N, rounding on terms of that size, means
-    a broken x-step or u-step and raises RuntimeError.
+    the last relative change, the initial code, zeta, gamma_x and every
+    outer iteration's inner block, whose length less one is its PMLI steps.
+    Pass on_outer to observe the SolverState after each outer iteration. An
+    M2 rise above 1e-12 * 2 |R| zeta N, rounding on terms of that size,
+    means a broken x-step or u-step and raises RuntimeError.
 
     Each x-step gets floor = epsilon * M2 at the current code: a cycle that
     lowers M2 by less than that is below what the stopping rule resolves, so
@@ -491,13 +494,13 @@ def run(config: SolverConfig, collect_inner: bool = False, on_outer=None):
     s, c_prev, m2_prev = update_aux(x, loaded)
     d_mat = build_uqp(s, loaded)
     m2_slack = 1e-12 * 2 * loaded.region.size * loaded.zeta * loaded.n
-    trace = ConvergenceTrace(inner_objectives=[] if collect_inner else None, initial_code=x,
-                             zeta=loaded.zeta, gamma_x=loaded.gamma_x)
+    trace = ConvergenceTrace(outer_iters=[0], c_values=[c_prev], m2_values=[m2_prev],
+                             elapsed_ms=[0.0], initial_code=x, zeta=loaded.zeta,
+                             gamma_x=loaded.gamma_x)
     start = time.perf_counter()
-    trace.record(0, c_prev, m2_prev, 0.0)
     state = SolverState(x=x, loaded=loaded, trace=trace, outer_iter=0)
     for t in range(1, config.gamma1 + 1):
-        x, s, c_now, m2, inner = mm_step(x, s, loaded, d_mat, config.gamma2, collect_inner,
+        x, s, c_now, m2, inner = mm_step(x, s, loaded, d_mat, config.gamma2,
                                          floor=config.epsilon * m2_prev)
         if m2 - m2_prev > m2_slack:
             raise RuntimeError(f"M2 rose from {m2_prev:.17g} to {m2:.17g} in outer iteration "

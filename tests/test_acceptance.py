@@ -43,7 +43,7 @@ def _criterion(number, description, passed):
 def reference_run():
     """One full-scale solve shared by the monotonicity and suppression checks."""
     start = time.perf_counter()
-    x_final, trace = run(REFERENCE_CONFIG, collect_inner=True)
+    x_final, trace = run(REFERENCE_CONFIG)
     seconds = time.perf_counter() - start
     return x_final, trace, seconds
 

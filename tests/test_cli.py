@@ -15,7 +15,7 @@ from afshape.cli import (
     run_and_export,
 )
 from afshape.af_core import AFGrid, RegionSpec
-from afshape.solver import ConvergenceTrace, SolverConfig
+from afshape.solver import ConvergenceTrace, SolverConfig, run
 
 SMALL_ARGS = ["--n", "12", "--k", "1,2", "--p", "2,3", "--gamma1", "10",
               "--gamma2", "20"]
@@ -172,8 +172,9 @@ def test_main_non_finite_settings_exit_2(tmp_path, capsys):
     ([], {}, '{"seed": 1e400}'),
     ([], {}, '{"gamma2": true}'),
     ([], {}, '{"delta": "0.1"}'),
+    (["--delta", "1e-16"], {}, None),
 ], ids=["seed-flag", "seed-flag-dry-run", "seed-env", "gamma1-inf", "seed-overflow",
-        "gamma2-bool", "delta-string"])
+        "gamma2-bool", "delta-string", "delta-lost-in-loading"])
 def test_main_bad_number_exit_2(flags, env, config_text, tmp_path, monkeypatch, capsys):
     # each is refused at the config boundary, before any output directory exists;
     # no gamma flags here, since flags would override the file's values
@@ -292,6 +293,24 @@ def test_main_removes_half_written_output(owner, writer, flags, tmp_path, monkey
     assert list(out.iterdir()) == []
 
 
+def test_failed_rerun_leaves_no_outputs(tmp_path, monkeypatch, capsys):
+    # the rerun fails after writing code.csv and af_grid.csv; the first run's manifest,
+    # report and traces must go too, or the manifest would list files that are gone
+    out = tmp_path / "results"
+    run_and_export(small_solver_config(seed=1), out, verbose=True)
+    to_csv = AFGrid.to_csv
+
+    def fail_on_db(self, path, db=False):
+        if db:
+            raise RuntimeError("disk went away mid-write")
+        to_csv(self, path, db=db)
+
+    monkeypatch.setattr(AFGrid, "to_csv", fail_on_db)
+    assert main(SMALL_ARGS + ["--seed", "2", "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------- file outputs
 
 def test_run_and_export_artifacts(tmp_path):
@@ -335,15 +354,26 @@ def test_run_and_export_verbose_adds_inner_trace(tmp_path):
     out = tmp_path / "results"
     run_and_export(small_solver_config(), out, verbose=True)
     payload = json.loads((out / "trace.json").read_text())
-    assert payload["inner_objectives"] is not None
     assert len(payload["inner_objectives"]) == payload["outer_iter"][-1]
     manifest_data = json.loads((out / "manifest.json").read_text())
     # both files end with the same run record: keys, values and order
-    record = ["stop_reason", "final_rel_change", "zeta", "gamma_x"]
+    record = ["stop_reason", "final_rel_change", "zeta", "gamma_x", "inner_steps"]
     assert list(payload)[-len(record):] == record
     assert list(manifest_data)[-len(record):] == record
     assert [payload[key] for key in record] == [manifest_data[key] for key in record]
     assert "stop_reason" not in (out / "trace.csv").read_text()
+    assert payload["inner_steps"] == sum(len(block) - 1 for block in payload["inner_objectives"])
+
+
+def test_plain_run_holds_the_verbose_inner_blocks(tmp_path):
+    # verbose only logs and writes trace.json: the library run keeps the same blocks
+    config = small_solver_config(gamma1=6, epsilon=1e-15)
+    _, trace = run(config)
+    run_and_export(config, tmp_path / "out", verbose=True)
+    blocks = json.loads((tmp_path / "out" / "trace.json").read_text())["inner_objectives"]
+    assert len(blocks) == len(trace.inner_objectives) == 6
+    for block, ref in zip(blocks, trace.inner_objectives):
+        assert np.array(block, dtype=float).tobytes() == ref.tobytes()
 
 
 def test_plain_run_removes_stale_inner_trace(tmp_path):

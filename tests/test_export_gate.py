@@ -79,18 +79,18 @@ def test_exported_grid_csvs_match_reference(tmp_path):
 
 
 def recorded_trace(inner_blocks, **attrs):
-    trace = ConvergenceTrace(inner_objectives=None if inner_blocks is None else [])
-    for t, inner in enumerate([None] + list(inner_blocks or [])):
-        trace.record(t, 10.0 / (t + 1), 20.0 / (t + 1), 0.5 * t, inner)
+    trace = ConvergenceTrace(outer_iters=[0], c_values=[10.0], m2_values=[20.0],
+                             elapsed_ms=[0.0])
+    for t, inner in enumerate(inner_blocks, start=1):
+        trace.record(t, 10.0 / (t + 1), 20.0 / (t + 1), 0.5 * t, np.array(inner, dtype=float))
     for name, value in attrs.items():
         setattr(trace, name, value)
     return trace
 
 
 @pytest.mark.parametrize("trace", [
-    recorded_trace(None, stop_reason="gamma1", final_rel_change=0.25),
     recorded_trace([], stop_reason=None, final_rel_change=None),
-    ConvergenceTrace(inner_objectives=[]),
+    ConvergenceTrace(),
     recorded_trace([[1.0, math.nan, 2.5], [math.inf, -math.inf, -0.0, 5e-324]],
                    stop_reason="epsilon", final_rel_change=math.inf),
     recorded_trace([[3.0], [1e308, 0.1, 1.0 / 3.0]], stop_reason="gamma1",
@@ -101,7 +101,7 @@ def recorded_trace(inner_blocks, **attrs):
     recorded_trace([[1.0, -0.0, -0.0, 0.0, 0.0, 0.0], [0.0, -0.0], [-0.0, 0.0]]),
     recorded_trace([[4.0, math.nan, math.nan, math.nan], [math.nan, 1.0, math.inf, math.inf],
                     [math.nan, math.nan]]),
-], ids=["no-inner", "empty-inner", "empty-trace", "nan-inf-rows", "short-rows",
+], ids=["empty-inner", "empty-trace", "nan-inf-rows", "short-rows",
         "one-value", "zero-after-negative-zero", "nan-tail"])
 def test_hand_built_trace_json_matches_reference(trace, tmp_path):
     assert_same_json(trace, tmp_path)
@@ -111,7 +111,7 @@ def test_hand_built_trace_json_matches_reference(trace, tmp_path):
 def test_run_trace_json_matches_reference(epsilon, tmp_path):
     region = RegionSpec(delays=(1, 2), dopplers=(-1, 0, 1))
     config = SolverConfig(n=8, region=region, gamma1=12, gamma2=40, epsilon=epsilon, seed=5)
-    _, trace = run(config, collect_inner=True)
+    _, trace = run(config)
     assert trace.stop_reason == ("gamma1" if epsilon < 1e-9 else "epsilon")
     assert_same_json(trace, tmp_path)
 
@@ -122,7 +122,7 @@ def test_trace_json_writer_streams(tmp_path):
     # text and its pieces at once (about 5.5x), which shows in ref31-verbose's peak RSS
     region = RegionSpec(delays=(5, 6, 7), dopplers=(-15, -14, -13, 11, 12, 13, 14))
     config = SolverConfig(n=31, region=region, gamma1=300, gamma2=500, seed=0)
-    _, trace = run(config, collect_inner=True)
+    _, trace = run(config)
     path = tmp_path / "trace.json"
     tracemalloc.start()
     try:

@@ -119,6 +119,10 @@ def test_build_loaded_region_rejects_bad_delta():
     for delta in (0.0, -0.5, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             build_loaded_region(8, region, delta=delta)
+    # a delta lost in 1 + delta would load nothing: zeta = 1 leaves x^H L x = 0 reachable
+    for delta in (1e-17, 1e-16):
+        with pytest.raises(ValueError, match="1 \\+ delta > 1"):
+            build_loaded_region(2, RegionSpec(1, 0), delta=delta)
 
 
 # --------------------------------------------------------- load_and_root

@@ -90,6 +90,11 @@ def test_config_validation():
             small_config(epsilon=bad)
         with pytest.raises(ValueError):
             small_config(delta=bad)
+    # 1 + delta must not round to 1, or the loading level is exactly 1
+    for lost in (1e-17, 1e-16, sys.float_info.epsilon / 2):
+        with pytest.raises(ValueError, match="1 \\+ delta rounds to 1"):
+            small_config(delta=lost)
+    assert small_config(delta=sys.float_info.epsilon).delta == sys.float_info.epsilon
     with pytest.raises(ValueError):
         small_config(n=40, gamma1=2.5)
     # bools, strings, non-finite integers and negative seeds, all as ValueError
@@ -141,7 +146,7 @@ def test_config_refuses_delta_past_m2_overflow():
         for seed in range(3):
             config = SolverConfig(n=n, region=region, gamma1=3, gamma2=20, seed=seed,
                                   delta=0.999 * edge)
-            _, trace = run(config, collect_inner=True)
+            _, trace = run(config)
             assert np.isfinite(trace.c_values + trace.m2_values).all()
             assert all(np.isfinite(block).all() for block in trace.inner_objectives)
 
@@ -715,7 +720,7 @@ def test_run_decreases_objective():
 
 
 def test_run_m2_never_increases():
-    _, trace = run(small_config(), collect_inner=True)
+    _, trace = run(small_config())
     m2 = np.array(trace.m2_values)
     assert np.all(np.diff(m2) <= 1e-9 * np.abs(m2[:-1]))
     for block in trace.inner_objectives:
@@ -783,28 +788,30 @@ def stale_x_step(monkeypatch, from_call=5):
     """
     starts = []
 
-    def stale(d_mat, x_start, gamma2, track_objective=False, floor=0.0):
+    def stale(d_mat, x_start, gamma2, track_objective, floor):
         starts.append(x_start)
         if len(starts) < from_call:
-            return pmli_inner(d_mat, x_start, gamma2, track_objective=track_objective,
-                              floor=floor)
-        x0 = CodeSequence(phases=starts[0].phases)
-        return (x0, np.zeros(2)) if track_objective else x0
+            return pmli_inner(d_mat, x_start, gamma2, track_objective, floor)
+        return CodeSequence(phases=starts[0].phases), np.zeros(2)
 
     monkeypatch.setattr(solver, "pmli_inner", stale)
     return starts
 
 
-@pytest.mark.parametrize("collect_inner", [False, True])
-def test_run_raises_when_m2_rises(monkeypatch, collect_inner):
+@pytest.mark.parametrize("observe", [False, True])
+def test_run_raises_when_m2_rises(monkeypatch, observe):
+    # an on_outer observer sees the four sound outer iterations and never the failing one
     config = small_config(gamma1=20, epsilon=1e-15)
     _, trace = run(config)
     assert trace.m2_values[0] > trace.m2_values[4]  # M2 at the initial code is a rise
     starts = stale_x_step(monkeypatch)
+    seen = []
+    on_outer = (lambda state: seen.append(state.outer_iter)) if observe else None
     with pytest.raises(RuntimeError, match="M2 rose .* in outer iteration 5,"):
-        run(config, collect_inner=collect_inner)
+        run(config, on_outer=on_outer)
     assert starts[0].phases.tobytes() == init_random_code(config.n, config.seed).phases.tobytes()
     assert len(starts) == 5
+    assert seen == ([1, 2, 3, 4] if observe else [])
 
 
 def test_main_exits_3_when_m2_rises(monkeypatch, tmp_path, capsys):
@@ -818,13 +825,13 @@ def test_main_exits_3_when_m2_rises(monkeypatch, tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("config, track_objective, stop_reason", [
-    (small_config(gamma1=100, epsilon=1e-2, seed=2), False, "epsilon"),
-    (small_config(gamma1=6, epsilon=1e-15), True, "gamma1"),
-], ids=["plain-epsilon", "tracked-gamma1"])
-def test_mm_step_loop_reproduces_run(config, track_objective, stop_reason):
-    # the cycle run by hand, with run's stop rule, gives run's rows and code bit for bit
-    x_run, trace = run(config, collect_inner=track_objective)
+@pytest.mark.parametrize("config, stop_reason", [
+    (small_config(gamma1=100, epsilon=1e-2, seed=2), "epsilon"),
+    (small_config(gamma1=6, epsilon=1e-15), "gamma1"),
+], ids=["epsilon", "gamma1"])
+def test_mm_step_loop_reproduces_run(config, stop_reason):
+    # the cycle run by hand, with run's stop rule, gives run's rows, blocks and code bit for bit
+    x_run, trace = run(config)
     assert trace.stop_reason == stop_reason
     loaded = build_loaded_region(config.n, config.region, delta=config.delta)
     x = init_random_code(config.n, config.seed)
@@ -834,7 +841,6 @@ def test_mm_step_loop_reproduces_run(config, track_objective, stop_reason):
     for _ in range(config.gamma1):
         phases, s_before = x.phases.copy(), s.copy()
         x_next, s_next, c_now, m2, inner = mm_step(x, s, loaded, d_mat, config.gamma2,
-                                                   track_objective,
                                                    floor=config.epsilon * m2)
         assert x.phases.tobytes() == phases.tobytes() and s.tobytes() == s_before.tobytes()
         x, s = x_next, s_next
@@ -847,12 +853,9 @@ def test_mm_step_loop_reproduces_run(config, track_objective, stop_reason):
     assert np.array(c_rows).tobytes() == np.array(trace.c_values).tobytes()
     assert np.array(m2_rows).tobytes() == np.array(trace.m2_values).tobytes()
     assert x.phases.tobytes() == x_run.phases.tobytes()
-    if track_objective:
-        assert len(blocks) == len(trace.inner_objectives)
-        for block, ref in zip(blocks, trace.inner_objectives):
-            assert block.tobytes() == ref.tobytes()
-    else:
-        assert blocks == [None] * len(blocks) and trace.inner_objectives is None
+    assert len(blocks) == len(trace.inner_objectives)
+    for block, ref in zip(blocks, trace.inner_objectives):
+        assert block.tobytes() == ref.tobytes()
 
 
 def test_run_makes_no_m2_objective_call(monkeypatch):
@@ -863,7 +866,7 @@ def test_run_makes_no_m2_objective_call(monkeypatch):
         return m2_objective(*args)
 
     monkeypatch.setattr(solver, "m2_objective", counting_m2_objective)
-    _, trace = run(small_config(gamma1=5, epsilon=1e-15), collect_inner=True)
+    _, trace = run(small_config(gamma1=5, epsilon=1e-15))
     assert trace.outer_iters[-1] == 5
     assert calls == []
 
@@ -929,14 +932,27 @@ def test_trace_csv_layout(tmp_path):
 
 
 def test_trace_json_contains_timing_and_inner():
-    _, trace = run(small_config(gamma1=3, epsilon=1e-15), collect_inner=True)
+    _, trace = run(small_config(gamma1=3, epsilon=1e-15))
     payload = trace.to_json_dict()
     assert set(payload) == {"outer_iter", "C", "m2_objective", "elapsed_ms",
                             "inner_objectives", "stop_reason", "final_rel_change",
-                            "zeta", "gamma_x"}
+                            "zeta", "gamma_x", "inner_steps"}
     assert payload["stop_reason"] == "gamma1"
     loaded = build_loaded_region(16, SMALL_REGION)
     assert (payload["zeta"], payload["gamma_x"]) == (loaded.zeta, loaded.gamma_x)
     assert payload["final_rel_change"] == trace.final_rel_change
     assert len(payload["elapsed_ms"]) == len(payload["C"])
     assert len(payload["inner_objectives"]) == payload["outer_iter"][-1]
+
+
+def test_plain_run_records_its_inner_steps():
+    # every run keeps one block per outer iteration, steps + 1 values each
+    config = small_config(gamma1=100, epsilon=1e-2, seed=2)
+    _, trace = run(config)
+    assert trace.stop_reason == "epsilon"
+    blocks = trace.inner_objectives
+    assert len(blocks) == len(trace.outer_iters) - 1
+    assert all(isinstance(block, np.ndarray) and block.dtype == float for block in blocks)
+    steps = trace.run_record()["inner_steps"]
+    assert steps == sum(len(block) - 1 for block in blocks)
+    assert len(blocks) <= steps <= len(blocks) * config.gamma2
