@@ -11,7 +11,9 @@ complex exponent is itself N-periodic in its index, so the wrapped sum
 coincides exactly with the quadratic form x^H D_p J_k x built from the
 unitary Doppler diagonal D_p and the cyclic shift J_k. Every evaluation
 here goes through that convention, and the mainlobe value is r[0, 0] = N
-for any unimodular code.
+for any unimodular code. A region's (K, P) block of r and its energy C are
+one product and one vdot, the two the solver's u-step forms its C with, so
+every region evaluation has its bits; only af_grid takes FFTs.
 
 Magnitudes are reported in dB as 20*log10(|r| / N), which pins the
 mainlobe at 0 dB; exact zeros are floored at -100 dB.
@@ -224,38 +226,38 @@ def build_kernel(k: int, p: int, n: int) -> AFKernel:
 
 
 def eval_af(x: CodeSequence, k: int, p: int) -> complex:
-    """One ambiguity-function sample r[k, p] = x^H D_p J_k x."""
-    n = x.n
-    _check_lag(k, n)
-    _check_doppler(p, n)
-    values = x.values
-    rolled = np.roll(values, -k)  # rolled[i] = values[(i + k) mod n]
-    return complex(np.sum(np.conj(values) * doppler_phase_vector(p, n) * rolled))
+    """One ambiguity-function sample r[k, p] = x^H D_p J_k x, a one-cell region block."""
+    _check_lag(k, x.n)
+    _check_doppler(p, x.n)
+    return complex(_region_product(x.values, *_region_tables(x.n, [k], [p]))[1][0, 0])
 
 
-def _lag_spectra(values: np.ndarray, lags) -> np.ndarray:
-    """One DFT per lag row of conj(x_i) x[(i + k) mod N], shape (len(lags), N).
+def _region_tables(n: int, delays, dopplers) -> tuple:
+    """(K, N) shift_idx, row a holding (i + delays[a]) mod N, and the (P, N) rows of D_p."""
+    shift_idx = (np.arange(n) + np.array(delays)[:, None]) % n
+    return shift_idx, doppler_phase_vector(np.array(dopplers)[:, None], n)
 
-    Column p mod N of the row for lag k is r[k, p] times the unit phase
-    exp(2j pi p / N), so it carries |r[k, p]| exactly as r does.
-    """
-    gather = (np.arange(values.size) + np.asarray(lags)[:, None]) % values.size
-    return np.fft.fft(np.conj(values) * values[gather], axis=1)
+
+def _region_product(values: np.ndarray, shift_idx: np.ndarray, doppler_rows: np.ndarray) -> tuple:
+    """(x[shift_idx], r): r = (x[shift_idx] * conj x) F^T is the (K, P) block, F the rows of D_p."""
+    shifted = values[shift_idx]
+    return shifted, (shifted * values.conj()) @ doppler_rows.T
+
+
+def _energy(r: np.ndarray) -> float:
+    """sum |r|^2 as one vdot of r's float view, so a block conjugated in place keeps the bits."""
+    return float(np.vdot(r.view(float), r.view(float)))
 
 
 def _region_cells(x: CodeSequence, region: RegionSpec) -> np.ndarray:
-    """The region's (K, P) cells, each of magnitude |r[k, p]|, in region.pairs() order.
-
-    The region is checked against the code length; only its lag rows are transformed.
-    """
+    """The region's (K, P) block of r[k, p], flat in region.pairs() order; checks the region."""
     region.validate_for(x.n)
-    return _lag_spectra(x.values, region.delays)[:, np.mod(region.dopplers, x.n)]
+    return _region_product(x.values, *_region_tables(x.n, region.delays, region.dopplers))[1]
 
 
 def eval_objective(x: CodeSequence, region: RegionSpec) -> float:
     """Suppression-region energy: sum over (k, p) in the region of |r[k, p]|^2."""
-    cells = _region_cells(x, region)
-    return float(np.sum(cells.real ** 2 + cells.imag ** 2))
+    return _energy(_region_cells(x, region))
 
 
 def to_db(magnitude, mainlobe: float) -> np.ndarray:
@@ -305,10 +307,13 @@ def af_grid(x: CodeSequence) -> AFGrid:
     The bins cover one full period: -N/2 .. N/2 - 1 for even N and
     -(N-1)/2 .. (N-1)/2 for odd N. AFGrid.to_csv writes all 2N - 1 lags.
     The mainlobe cell (row 0, bin 0) holds exactly N, so it reads exactly 0 dB.
+    Row k is the DFT of conj(x_i) x[(i + k) mod N], r[k, p] up to a unit phase.
     """
     n = x.n
+    values = x.values
     bins = np.arange(n) - n // 2
-    magnitude = np.abs(_lag_spectra(x.values, np.arange(n)))[:, bins % n]
+    lag_rows = np.conj(values) * values[(np.arange(n) + np.arange(n)[:, None]) % n]
+    magnitude = np.abs(np.fft.fft(lag_rows, axis=1))[:, bins % n]
     magnitude[0, n // 2] = n
     return AFGrid(n=n, bins=bins, magnitude=magnitude,
                   magnitude_db=to_db(magnitude, float(n)))

@@ -18,9 +18,8 @@ manifest dict it writes. Both JSON files end with the same run record,
 ConvergenceTrace.run_record: why the solve stopped, the last relative
 change of C, the x-step's two per-solve constants (the loading level and
 its bound on Q's top eigenvalue) and the solve's total inner steps; the
-verbose log prints it too. final_c is the FFT evaluator's region energy,
-the bits of af_core.eval_objective and of report.json's after energy; its
-last digits can differ from trace.csv's last C, which the u-step computes.
+verbose log prints it too. final_c, report.json's after energy, equals
+trace.csv's last C bit for bit, as its before energy equals the first C.
 
 Settings come from flags, from a JSON config file (--config), or both;
 flags win over file values, and AFSHAPE_SEED supplies the seed when
@@ -65,11 +64,11 @@ _OUTPUT_NAMES = {
 
 def load_config_file(path) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
+        raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return data

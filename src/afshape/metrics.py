@@ -4,8 +4,8 @@ All levels are in dB referenced to the mainlobe (r[0, 0] = N maps to
 0 dB), so every level of a unimodular code is <= 0 dB. Region statistics
 are taken over the per-(k, p) bins of the suppression region; the global
 peak sidelobe scans the full lag/Doppler grid with only the mainlobe cell
-excluded. A report transforms each code's region once, for its levels and
-its energy alike.
+excluded. A report forms each code's region block once, for its levels and
+its energy alike, as the u-step forms C: a region energy has C's bits.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .af_core import (
     AFGrid,
     CodeSequence,
     RegionSpec,
+    _energy,
     _region_cells,
     af_grid,
     to_db,
@@ -96,7 +97,7 @@ def _levels_and_report(x: CodeSequence, region: RegionSpec,
         n=x.n,
         delays=region.delays,
         dopplers=region.dopplers,
-        region_energy=float(np.sum(cells.real ** 2 + cells.imag ** 2)),  # eval_objective's bits
+        region_energy=_energy(cells),
         region_avg_db=float(np.mean(levels)),
         region_peak_db=float(np.max(levels)),
         global_peak_sidelobe_db=float(sidelobes.max()),

@@ -30,9 +30,9 @@ x^H (ai + zeta*I) x = zeta N - Im r[k, p].
 A region is the product of its K lags and P Doppler bins, and A x
 factors into a lag shift and a Doppler row. build_loaded_region
 therefore precomputes, once per region, just the K shift and un-shift
-indices and the P Doppler rows (not one row per cell), plus the dense
-sum of all loaded matrices (the quadratic block of the solver's x-step)
-and a bound on its top eigenvalue (the x-step's gamma_x).
+indices and the P Doppler rows (af_core's region tables, not one row per
+cell), plus the dense sum of all loaded matrices (the quadratic block of
+the solver's x-step) and a bound on its top eigenvalue (the x-step's gamma_x).
 split_kernel and load_and_root still build the dense matrices and their
 roots by eigendecomposition: they are the slow reference the fast path is
 tested against.
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .af_core import AFKernel, RegionSpec, doppler_phase_vector
+from .af_core import AFKernel, RegionSpec, _region_tables
 
 
 class LoadingError(RuntimeError):
@@ -213,11 +213,9 @@ def build_loaded_region(n: int, region: RegionSpec, delta: float = 0.01) -> Load
     region.validate_for(n)
     zeta = 1.0 + delta
     rows = np.arange(n)
-    lags = np.array(region.delays)[:, None]
-    shift_idx = (rows + lags) % n
-    back_idx = (rows - lags) % n
-    unshift_idx = back_idx + n * np.arange(len(lags))[:, None]
-    doppler_rows = doppler_phase_vector(np.array(region.dopplers)[:, None], n)
+    shift_idx, doppler_rows = _region_tables(n, region.delays, region.dopplers)
+    back_idx = (rows - np.array(region.delays)[:, None]) % n
+    unshift_idx = back_idx + n * np.arange(len(back_idx))[:, None]
     # ar + ai = S + S^H with S = (1 + j) A / 2, and A holds d_p[i] at (i, (i + k) mod N),
     # so every lag writes the same row sum of S at its own positions; the lags are
     # distinct mod N, so neither write below hits a position twice

@@ -110,6 +110,7 @@ import numpy as np
 # eval_objective is not called here; it stays importable from this module
 # because perfbench/tracer.py wraps afshape.solver.eval_objective
 from .af_core import CodeSequence, RegionSpec, as_integer, eval_objective  # noqa: F401
+from .af_core import _energy, _region_product
 from .reformulation import LoadedRegion, build_loaded_region
 
 _EPS = sys.float_info.epsilon  # float64's machine epsilon
@@ -265,32 +266,28 @@ def update_aux(x: CodeSequence, loaded: LoadedRegion) -> tuple[np.ndarray, float
     u = R x / ||R x|| maximizes Re{x^H R u} (the u-part of M2 with its sign
     flipped) over the unit sphere, and R u = L x / sqrt(x^H L x), so s weights
     each cell's A x and A^H x by 1 / sqrt(x^H L x). C = sum |r|^2 is the
-    region energy at x, from the r = x^H A x the weights are built on, and
-    M2 = M2(x, u(x)) = sum (sqrt(q) - sqrt(zeta N))^2 over both halves of
-    every cell, from the same roots sqrt(q) of q = x^H L x (see the module
-    docstring); it equals m2_objective(x, s, loaded) up to rounding.
+    region energy at x, with the bits of eval_objective, and M2 = M2(x, u(x))
+    = sum (sqrt(q) - sqrt(zeta N))^2 over both halves of every cell, from the
+    roots sqrt(q) of q = x^H L x the weights use (see the module docstring);
+    it equals m2_objective(x, s, loaded) up to rounding.
 
     Nothing is formed per cell. With F the (P, N) Doppler rows and
-    xs[k] = x[(i + k) mod N] the K shifted copies of x,
-
-        r = (xs * conj(x)) F^T
-
-    is the (K, P) block of every x^H A x, in region.pairs() order when
-    flattened. Conjugated in place and viewed as one real (K, 2P) array,
-    halves, its columns alternate Re r and -Im r, so q = halves + zeta N
-    holds x^H L x of both halves of every cell and C = sum halves^2. The
-    weights w = 1 / (2 sqrt(q)) overwrite q; viewed as complex they are
-    alpha = (w_r + j w_i) / 2 per cell, with w_r and w_i the two halves'
-    1 / sqrt(q). With W = alpha F, the A x half of s is sum_k xs[k] * W[k]; the
-    A^H x half has weights conj(alpha), so it is sum_k of the row
-    conj(W[k]) * x shifted back by k, one flat gather of a (K, N) array.
+    xs[k] = x[(i + k) mod N] the K shifted copies of x, af_core's region
+    product r = (xs * conj(x)) F^T is the (K, P) block of every x^H A x.
+    Conjugated in place and viewed as one real (K, 2P) array, halves, its
+    columns alternate Re r and -Im r, so q = halves + zeta N holds x^H L x
+    of both halves of every cell. The weights w = 1 / (2 sqrt(q)) overwrite
+    q; viewed as complex they are alpha = (w_r + j w_i) / 2 per cell, with
+    w_r and w_i the two halves' 1 / sqrt(q). With W = alpha F, the A x half
+    of s is sum_k xs[k] * W[k]; the A^H x half has weights conj(alpha), so it
+    is sum_k of the row conj(W[k]) * x shifted back by k, one flat gather of
+    a (K, N) array.
     Raises RuntimeError when some x^H L x is not positive, i.e. the loading
     failed to make that matrix positive definite.
     """
     values = x.values
     rows = loaded.doppler_rows
-    shifted = values[loaded.shift_idx]
-    r = (shifted * values.conj()) @ rows.T
+    shifted, r = _region_product(values, loaded.shift_idx, rows)
     # Re r and -Im r side by side; + zeta N gives x^H L x of both halves, as ||x||^2 = N
     halves = np.conjugate(r, out=r).view(float)
     zn = loaded.zeta * loaded.n
@@ -302,7 +299,7 @@ def update_aux(x: CodeSequence, loaded: LoadedRegion) -> tuple[np.ndarray, float
     # sqrt(q) - sqrt(zeta N) = (q - zeta N) / (sqrt(q) + sqrt(zeta N)), with q - zeta N = halves
     gap = halves / (root + math.sqrt(zn))
     m2 = float(np.vdot(gap, gap))
-    c = float(np.vdot(halves, halves))
+    c = _energy(r)
     w = np.divide(0.5, root, out=q)
     # L_r x = (A x + A^H x) / 2 + zeta x and L_i x = j (A x - A^H x) / 2 + zeta x
     weights = w.view(complex) @ rows

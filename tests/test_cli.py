@@ -134,6 +134,10 @@ def test_config_file_errors(tmp_path):
     not_object.write_text("[1, 2]")
     with pytest.raises(ConfigError):
         parse_config(["--config", str(not_object)], env={})
+    not_utf8 = tmp_path / "latin.json"
+    not_utf8.write_bytes(b'\xff\xfe{"n": 8}')
+    with pytest.raises(ConfigError, match="UTF-8"):
+        parse_config(["--config", str(not_utf8)], env={})
 
 
 def test_missing_required_settings():
@@ -339,8 +343,7 @@ def test_run_and_export_artifacts(tmp_path):
     manifest_data = json.loads((out / "manifest.json").read_text())
     assert manifest_data["config"] == config.to_json_dict()
     assert manifest_data["tool_version"] == __version__
-    assert manifest_data["final_c"] == pytest.approx(float(trace_lines[-1].split(",")[1]))
-    # the FFT evaluator's C, not the solve loop's: the same float in both files
+    assert manifest_data["final_c"] == float(trace_lines[-1].split(",")[1])
     assert manifest_data["final_c"] == report["after"]["region_energy"]
     assert set(manifest_data["outputs"]) == {
         "code", "af_grid", "af_grid_db", "trace", "report", "manifest"}
@@ -348,6 +351,21 @@ def test_run_and_export_artifacts(tmp_path):
     assert manifest_data["stop_reason"] == "gamma1"  # 10 outer steps, epsilon 1e-6
     assert manifest_data["final_rel_change"] > config.epsilon
     assert manifest == manifest_data
+
+
+def test_run_record_energies_are_the_trace_c_bit_for_bit(tmp_path):
+    # the reference region: the report forms C as the u-step does, so final_c
+    # is trace.csv's last C and the before energy its first, to the last bit
+    region = RegionSpec.for_length(31, "5..7", "-15..-13,11..14")
+    out = tmp_path / "out"
+    run_and_export(SolverConfig(n=31, region=region, gamma1=40, gamma2=500, seed=0), out)
+    c_values = [line.split(",")[1] for line in
+                (out / "trace.csv").read_text().strip().splitlines()[1:]]
+    assert len(c_values) == 41
+    manifest = json.loads((out / "manifest.json").read_text())
+    report = json.loads((out / "report.json").read_text())
+    assert manifest["final_c"] == float(c_values[-1])
+    assert report["before"]["region_energy"] == float(c_values[0])
 
 
 def test_run_and_export_verbose_adds_inner_trace(tmp_path):

@@ -102,20 +102,17 @@ def test_compare_reuses_a_given_after_grid(monkeypatch):
 
 
 def test_compare_transforms_each_region_once(monkeypatch):
-    # one region transform per code, for its levels and its energy alike
+    # one region product per code, for its levels and its energy alike
     region_calls = []
 
-    def counted(values, lags):
-        if tuple(np.atleast_1d(lags)) == REGION.delays:
-            region_calls.append(lags)
-        return spectra(values, lags)
+    def counted(values, shift_idx, doppler_rows):
+        region_calls.append(shift_idx.shape[0] * doppler_rows.shape[0])
+        return product(values, shift_idx, doppler_rows)
 
-    spectra = af_core._lag_spectra
-    monkeypatch.setattr(af_core, "_lag_spectra", counted)
-    # an earlier metrics module held its own reference
-    monkeypatch.setattr(metrics, "_lag_spectra", counted, raising=False)
+    product = af_core._region_product
+    monkeypatch.setattr(af_core, "_region_product", counted)
     compare(init_random_code(8, 1), init_random_code(8, 2), REGION)
-    assert len(region_calls) == 2
+    assert region_calls == [REGION.size, REGION.size]
 
 
 def assembled_report(x, region, levels):

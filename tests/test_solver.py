@@ -14,6 +14,7 @@ from afshape import (
     LoadedRegion,
     RegionSpec,
     SolverConfig,
+    af_grid,
     build_kernel,
     build_loaded_region,
     build_uqp,
@@ -30,8 +31,8 @@ from afshape import (
 )
 from afshape import solver
 from afshape.cli import main
-from oracle import (build_bx, build_uqp_frobenius, pmli_inner_fixed_count, pmli_inner_reference,
-                    quadratic_form, random_psd, update_aux_two_halves)
+from oracle import (af_sum_reference, build_bx, build_uqp_frobenius, pmli_inner_fixed_count,
+                    pmli_inner_reference, quadratic_form, random_psd, update_aux_two_halves)
 
 SMALL_REGION = RegionSpec(delays=(1, 2), dopplers=(2, 3, -3))
 REF_REGION = RegionSpec(delays=(5, 6, 7), dopplers=(-15, -14, -13, 11, 12, 13, 14))
@@ -209,7 +210,8 @@ def test_update_aux_rejects_indefinite_loading():
 
 
 def test_update_aux_c_matches_eval_objective():
-    # C = sum |r|^2 from the u-step's r = x^H A x against the FFT evaluator
+    # the u-step's C = sum |r|^2 is the region evaluator's, bit for bit; the
+    # literal term-by-term sums of the oracle stay the independent reference
     rng = np.random.default_rng(59)
     for n, region in ((31, REF_REGION), (64, WIDE_REGION),
                       (128, RegionSpec(delays=(3, 4, 5), dopplers=(-20, -19, 40, 41, 42)))):
@@ -218,7 +220,9 @@ def test_update_aux_c_matches_eval_objective():
             x = CodeSequence(phases=rng.uniform(0, 2 * np.pi, n))
             _, c, _ = update_aux(x, loaded)
             assert isinstance(c, float)
-            assert abs(c - eval_objective(x, region)) <= 1e-12 * eval_objective(x, region)
+            assert c == eval_objective(x, region)
+            literal = sum(abs(af_sum_reference(x.values, k, p)) ** 2 for k, p in region.pairs())
+            assert abs(c - literal) <= 1e-12 * literal
 
 
 def test_root_free_path_matches_root_reference():
@@ -377,7 +381,8 @@ def test_loaded_region_tables_are_lag_factored(case):
 @with_examples
 @given(uqp_cases())
 def test_update_aux_matches_root_reference_on_random_regions(case):
-    # (s, C) of the lag-factored u-step against explicit roots and the FFT evaluator
+    # (s, C) of the lag-factored u-step against explicit roots and the oracle's
+    # literal sums (eval_objective shares the u-step's product, so it is no reference)
     n, region, delta, seed = case
     loaded = build_loaded_region(n, region, delta=delta)
     x = init_random_code(n, seed)
@@ -385,7 +390,7 @@ def test_update_aux_matches_root_reference_on_random_regions(case):
     ref_r, ref_i = reference_aux(x, reference_pairs(loaded))
     ref_s = ref_r.sum(axis=0) + ref_i.sum(axis=0)
     assert np.linalg.norm(s - ref_s) <= 1e-12 * np.linalg.norm(ref_s)
-    ref_c = eval_objective(x, region)
+    ref_c = sum(abs(af_sum_reference(x.values, k, p)) ** 2 for k, p in region.pairs())
     if region.delays == (0,):
         # r = sum_i d_p[i] = 0 at lag 0 for every p != 0, so C is rounding alone
         assert c <= region.size * (1e-12 * n) ** 2
@@ -756,27 +761,33 @@ def test_run_quartic_chain_agrees_at_every_outer_iteration():
     SolverConfig(n=64, region=WIDE_REGION, gamma1=8, gamma2=100, seed=0),
 ], ids=["ref31", "wide64"])
 def test_run_c_matches_eval_objective_at_every_outer_iteration(config):
-    # the loop takes C and M2 from the u-step; the FFT evaluator and
-    # m2_objective stay the references. m2_objective cancels terms of size
-    # 2 |R| zeta N (about 1,300 on ref31, where late rows have M2 below 1),
-    # so M2 is compared at that scale
+    # the loop takes C and M2 from the u-step. C is the region evaluator's bit
+    # for bit; af_grid's FFT magnitudes, a path the region product does not
+    # share, and m2_objective stay the references. m2_objective cancels terms
+    # of size 2 |R| zeta N (about 1,300 on ref31, where late rows have M2
+    # below 1), so M2 is compared at that scale
     loaded = build_loaded_region(config.n, config.region, delta=config.delta)
     m2_scale = 2 * config.region.size * loaded.zeta * config.n
     checked = []
+
+    def check_c(x, c):
+        assert c == eval_objective(x, config.region)
+        magnitude = af_grid(x).magnitude
+        fft_c = sum(magnitude[k % config.n, (p + config.n // 2) % config.n] ** 2
+                    for k, p in config.region.pairs())
+        assert abs(c - fft_c) <= 1e-12 * c
 
     def check_m2(x, m2):
         s, _, _ = update_aux(x, loaded)
         assert abs(m2 - m2_objective(x, s, loaded)) <= 1e-12 * m2_scale
 
     def check(state):
-        c = state.trace.c_values[-1]
-        assert abs(c - eval_objective(state.x, config.region)) <= 1e-12 * c
+        check_c(state.x, state.trace.c_values[-1])
         check_m2(state.x, state.trace.m2_values[-1])
         checked.append(state.outer_iter)
 
     _, trace = run(config, on_outer=check)
-    c0 = eval_objective(trace.initial_code, config.region)
-    assert abs(trace.c_values[0] - c0) <= 1e-12 * c0
+    check_c(trace.initial_code, trace.c_values[0])
     check_m2(trace.initial_code, trace.m2_values[0])
     assert checked == trace.outer_iters[1:]
 
