@@ -227,6 +227,8 @@ def build_kernel(k: int, p: int, n: int) -> AFKernel:
 
 def eval_af(x: CodeSequence, k: int, p: int) -> complex:
     """One ambiguity-function sample r[k, p] = x^H D_p J_k x, a one-cell region block."""
+    k = as_integer(k, "delay lag")
+    p = as_integer(p, "Doppler bin")
     _check_lag(k, x.n)
     _check_doppler(p, x.n)
     return complex(_region_product(x.values, *_region_tables(x.n, [k], [p]))[1][0, 0])
@@ -277,35 +279,12 @@ class AFGrid:
     magnitude: np.ndarray
     magnitude_db: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": int(self.n),
-            "bins": [int(v) for v in self.bins],
-            "magnitude": self.magnitude.tolist(),
-            "magnitude_db": self.magnitude_db.tolist(),
-        }
-
-    def to_csv(self, path, db: bool = False) -> None:
-        """Write the grid as CSV: lag column first, one column per Doppler bin.
-
-        Every lag -(N-1) .. N-1 gets its line, so the file has 2N - 1 rows;
-        lag k writes row k mod N, each row formatted once. Values carry 17
-        significant digits.
-        """
-        grid = self.magnitude_db if db else self.magnitude
-        row_format = ",%.17g" * grid.shape[1]
-        texts = [row_format % tuple(row) for row in grid.tolist()]
-        with open(path, "w") as fh:
-            fh.write("lag," + ",".join(str(int(b)) for b in self.bins) + "\n")
-            for lag in range(1 - self.n, self.n):
-                fh.write(f"{lag}{texts[lag % self.n]}\n")
-
 
 def af_grid(x: CodeSequence) -> AFGrid:
     """|r| on the N x N grid: row k is lags k and k - N, columns are Doppler bins.
 
     The bins cover one full period: -N/2 .. N/2 - 1 for even N and
-    -(N-1)/2 .. (N-1)/2 for odd N. AFGrid.to_csv writes all 2N - 1 lags.
+    -(N-1)/2 .. (N-1)/2 for odd N; the CLI writes all 2N - 1 lags from the N rows.
     The mainlobe cell (row 0, bin 0) holds exactly N, so it reads exactly 0 dB.
     Row k is the DFT of conj(x_i) x[(i + k) mod N], r[k, p] up to a unit phase.
     """

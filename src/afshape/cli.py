@@ -28,6 +28,10 @@ neither does. SolverConfig.from_json_dict checks the merged settings, and
 codes: 0 success, 2 configuration error, 3 numerical failure, a rise of the
 surrogate M2 included. A run that fails while writing removes every one of
 its output files, so no manifest is left beside missing files.
+
+Only this module writes files; the others describe their results as dicts
+and arrays. JSON files stream through one writer, json.dump with indent=2
+and a newline, and CSVs through another, a header and a line per row.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .af_core import CodeSequence, af_grid
+from .af_core import AFGrid, CodeSequence, af_grid
 from .metrics import compare
-from .solver import CONFIG_KEYS, SolverConfig, run
+from .solver import CONFIG_KEYS, ConvergenceTrace, SolverConfig, run
 
 logger = logging.getLogger("afshape")
 
@@ -162,15 +166,43 @@ def _utc_now() -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    """Stream json.dump(payload, indent=2) plus a newline into path."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
-def _write_code_csv(x: CodeSequence, path: Path) -> None:
-    values = x.values
-    lines = ["index,phase_rad,re,im"]
-    for i, (phase, value) in enumerate(zip(x.phases, values)):
-        lines.append(f"{i},{phase:.17g},{value.real:.17g},{value.imag:.17g}")
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, lines) -> None:
+    """Stream header, then each of lines, into path, every one ending in a newline."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+def _code_table(x: CodeSequence) -> tuple:
+    """code.csv's header and lines: index, phase, re and im at 17 significant digits."""
+    lines = (f"{i},{phase:.17g},{value.real:.17g},{value.imag:.17g}"
+             for i, (phase, value) in enumerate(zip(x.phases, x.values)))
+    return "index,phase_rad,re,im", lines
+
+
+def _trace_table(trace: ConvergenceTrace) -> tuple:
+    """trace.csv's header and lines; timing stays out so reruns are byte-identical."""
+    lines = (f"{t},{c:.17g},{m2:.17g}"
+             for t, c, m2 in zip(trace.outer_iters, trace.c_values, trace.m2_values))
+    return "outer_iter,C,m2_objective", lines
+
+
+def _grid_table(grid: AFGrid, db: bool) -> tuple:
+    """An AF grid CSV's header and lines: the lag, then one column per Doppler bin.
+
+    Every lag -(N-1) .. N-1 gets its line. Lag k is row k mod N, so each of
+    the N rows is formatted once, its values at 17 significant digits.
+    """
+    values = grid.magnitude_db if db else grid.magnitude
+    texts = [",%.17g" * grid.n % tuple(row) for row in values.tolist()]
+    lines = (f"{lag}{texts[lag % grid.n]}" for lag in range(1 - grid.n, grid.n))
+    return "lag," + ",".join(str(int(b)) for b in grid.bins), lines
 
 
 def _log_outer(state) -> None:
@@ -206,13 +238,13 @@ def run_and_export(config: SolverConfig, outdir, verbose: bool = False) -> dict:
     else:
         (outdir / "trace.json").unlink(missing_ok=True)  # left by an earlier verbose run
     try:
-        _write_code_csv(x_final, paths["code"])
-        grid.to_csv(paths["af_grid"])
-        grid.to_csv(paths["af_grid_db"], db=True)
-        trace.to_csv(paths["trace"])
+        _write_csv(paths["code"], *_code_table(x_final))
+        _write_csv(paths["af_grid"], *_grid_table(grid, db=False))
+        _write_csv(paths["af_grid_db"], *_grid_table(grid, db=True))
+        _write_csv(paths["trace"], *_trace_table(trace))
         _write_json(paths["report"], comparison.to_json_dict())
         if verbose:
-            trace.write_json(paths["trace_json"])
+            _write_json(paths["trace_json"], trace.to_json_dict())
         manifest = {
             "config": config.to_json_dict(),
             "tool_version": __version__,

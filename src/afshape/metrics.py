@@ -112,6 +112,8 @@ def compare(before: CodeSequence, after: CodeSequence, region: RegionSpec,
     """
     if before.n != after.n:
         raise ValueError(f"code lengths differ: {before.n} vs {after.n}")
+    if after_grid is not None and after_grid.n != after.n:
+        raise ValueError(f"after_grid is for length {after_grid.n}, after has length {after.n}")
     levels_before, report_before = _levels_and_report(before, region, None)
     levels_after, report_after = _levels_and_report(after, region, after_grid)
     bin_levels = [

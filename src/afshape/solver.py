@@ -97,13 +97,11 @@ solve is fully deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -183,8 +181,8 @@ class ConvergenceTrace:
     inner block: inner_objectives[i] is the array pmli_inner returned for
     outer iteration i + 1, the UQP objective of every iterate it visited,
     steps + 1 values. to_json_dict gives every field of trace.json in order,
-    the arrays as plain lists, and write_json streams that dict through
-    json.dump with indent=2.
+    the arrays as plain lists; the CLI writes that dict as trace.json and
+    the outer_iter, C and m2_objective columns as trace.csv.
     A finished solve also records the code it started from and its run
     record: why it stopped ("epsilon" when the relative change of C fell to
     epsilon, "gamma1" at the outer-iteration cap), that last relative change
@@ -214,13 +212,6 @@ class ConvergenceTrace:
         self.elapsed_ms.append(float(elapsed))
         self.inner_objectives.append(inner)
 
-    def to_csv(self, path) -> None:
-        """Deterministic CSV: timing stays out so reruns are byte-identical."""
-        lines = ["outer_iter,C,m2_objective"]
-        for t, c, m2 in zip(self.outer_iters, self.c_values, self.m2_values):
-            lines.append(f"{t},{c:.17g},{m2:.17g}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
     def to_json_dict(self) -> dict:
         return {
             "outer_iter": list(self.outer_iters),
@@ -236,12 +227,6 @@ class ConvergenceTrace:
         return {"stop_reason": self.stop_reason, "final_rel_change": self.final_rel_change,
                 "zeta": self.zeta, "gamma_x": self.gamma_x,
                 "inner_steps": sum(len(block) - 1 for block in self.inner_objectives)}
-
-    def write_json(self, path) -> None:
-        """Stream json.dump(self.to_json_dict(), indent=2) plus a newline into path."""
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 @dataclass(eq=False)

@@ -197,10 +197,10 @@ def build_uqp_frobenius(aux, loaded, out=None):
 
 
 def af_grid_to_csv(self, path, db=False):
-    """AFGrid.to_csv as first written: every value of every row through f"{v:.17g}".
+    """The AF grid CSV as first written: every value of every row through f"{v:.17g}".
 
-    The body is the method's, unchanged (self is the AFGrid), so the fast
-    writer in the package must produce the same bytes.
+    The body is the first grid writer's, unchanged (self is the grid, one
+    row per lag), so the CLI's streamed writer must produce the same bytes.
     """
     grid = self.magnitude_db if db else self.magnitude
     lines = ["lag," + ",".join(str(int(b)) for b in self.bins)]
@@ -212,6 +212,29 @@ def af_grid_to_csv(self, path, db=False):
 def trace_to_json(trace, path):
     """trace.json as first written: json.dumps(..., indent=2) of the whole trace.
 
-    ConvergenceTrace.write_json must produce the same bytes.
+    The CLI's streamed JSON writer must produce the same bytes.
     """
     Path(path).write_text(json.dumps(trace.to_json_dict(), indent=2) + "\n")
+
+
+def write_code_csv(x, path):
+    """code.csv as first written, the body unchanged (x is the code).
+
+    The CLI's CSV writer must produce the same bytes.
+    """
+    values = x.values
+    lines = ["index,phase_rad,re,im"]
+    for i, (phase, value) in enumerate(zip(x.phases, values)):
+        lines.append(f"{i},{phase:.17g},{value.real:.17g},{value.imag:.17g}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def trace_to_csv(self, path):
+    """trace.csv as first written, the body unchanged (self is the trace).
+
+    The CLI's CSV writer must produce the same bytes.
+    """
+    lines = ["outer_iter,C,m2_objective"]
+    for t, c, m2 in zip(self.outer_iters, self.c_values, self.m2_values):
+        lines.append(f"{t},{c:.17g},{m2:.17g}")
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -1,7 +1,6 @@
 """Tests for the discrete AF primitives."""
 
 import cmath
-import json
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from afshape import (
     init_random_code,
     to_db,
 )
+from afshape.cli import _grid_table, _write_csv
 from oracle import af_sum_reference, quadratic_form
 
 
@@ -262,6 +262,21 @@ def test_eval_af_validates_indices():
         eval_af(x, 0, 4)
 
 
+@pytest.mark.parametrize("k, p", [(1.5, 0), (True, 1), (1, False), (0, 2.5), ("1", 0),
+                                  (float("nan"), 1)],
+                         ids=["half-lag", "bool-lag", "bool-bin", "half-bin", "text-lag",
+                              "nan-lag"])
+def test_eval_af_takes_integer_indices_only(k, p):
+    # the integer rule RegionSpec and SolverConfig use: no fraction, no bool, no text
+    with pytest.raises(ValueError, match="finite integer"):
+        eval_af(init_random_code(8, 0), k, p)
+
+
+def test_eval_af_reads_integral_floats_as_integers():
+    x = init_random_code(8, 0)
+    assert eval_af(x, 2.0, np.int64(-1)) == eval_af(x, 2, -1)
+
+
 # ------------------------------------------------------- eval_objective
 
 def test_eval_objective_matches_per_bin_sum():
@@ -345,7 +360,7 @@ def test_af_grid_csv_round_trip(tmp_path):
     x = init_random_code(5, 7)
     grid = af_grid(x)
     path = tmp_path / "grid.csv"
-    grid.to_csv(path)
+    _write_csv(path, *_grid_table(grid, db=False))
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
     assert header[0] == "lag"
@@ -356,11 +371,3 @@ def test_af_grid_csv_round_trip(tmp_path):
     assert int(row[0]) == -2
     np.testing.assert_allclose([float(v) for v in row[1:]], grid.magnitude[-2 % x.n], rtol=1e-15)
 
-
-def test_af_grid_json_round_trip():
-    grid = af_grid(init_random_code(6, 2))
-    payload = json.loads(json.dumps(grid.to_json_dict()))
-    assert set(payload) == {"n", "bins", "magnitude", "magnitude_db"}
-    assert payload["n"] == 6
-    np.testing.assert_allclose(np.array(payload["magnitude"]), grid.magnitude, rtol=1e-15)
-    np.testing.assert_allclose(np.array(payload["magnitude_db"]), grid.magnitude_db, rtol=1e-15)

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from afshape import LoadingError, __version__
+from afshape import cli
 from afshape.cli import (
     ConfigError,
     main,
     parse_config,
     run_and_export,
 )
-from afshape.af_core import AFGrid, RegionSpec
-from afshape.solver import ConvergenceTrace, SolverConfig, run
+from afshape.af_core import RegionSpec
+from afshape.solver import SolverConfig, run
 
 SMALL_ARGS = ["--n", "12", "--k", "1,2", "--p", "2,3", "--gamma1", "10",
               "--gamma2", "20"]
@@ -269,28 +270,40 @@ def test_main_unwritable_out_exit_2(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def fail_on(monkeypatch, writer, name, fail):
+    """Patch the cli writer to call fail(path) for the output file name, else write as usual."""
+    write = getattr(cli, writer)
+
+    def patched(path, *args):
+        if path.name == name:
+            fail(path)
+        write(path, *args)
+
+    monkeypatch.setattr(cli, writer, patched)
+
+
 def test_main_numerical_failure_removes_outputs(tmp_path, monkeypatch, capsys):
-    def boom(self, path):
+    def boom(path):
         raise LoadingError(1, 2, "ar", -1.0, 0.5)
 
-    monkeypatch.setattr(ConvergenceTrace, "to_csv", boom)
+    fail_on(monkeypatch, "_write_csv", "trace.csv", boom)
     out = tmp_path / "results"
     assert main(SMALL_ARGS + ["--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
     assert list(out.iterdir()) == []  # partial outputs were removed
 
 
-@pytest.mark.parametrize("owner, writer, flags", [
-    (AFGrid, "to_csv", []),
-    (ConvergenceTrace, "write_json", ["--verbose"]),
-])
-def test_main_removes_half_written_output(owner, writer, flags, tmp_path, monkeypatch, capsys):
-    def write_then_fail(self, path, *args, **kwargs):
+@pytest.mark.parametrize("writer, name, flags", [
+    ("_write_csv", "af_grid.csv", []),
+    ("_write_json", "trace.json", ["--verbose"]),
+], ids=["grid-csv", "trace-json"])
+def test_main_removes_half_written_output(writer, name, flags, tmp_path, monkeypatch, capsys):
+    def write_then_fail(path):
         with open(path, "w") as fh:
             fh.write("first line\n")
         raise RuntimeError("disk went away mid-write")
 
-    monkeypatch.setattr(owner, writer, write_then_fail)
+    fail_on(monkeypatch, writer, name, write_then_fail)
     out = tmp_path / "results"
     assert main(SMALL_ARGS + flags + ["--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
@@ -302,14 +315,11 @@ def test_failed_rerun_leaves_no_outputs(tmp_path, monkeypatch, capsys):
     # report and traces must go too, or the manifest would list files that are gone
     out = tmp_path / "results"
     run_and_export(small_solver_config(seed=1), out, verbose=True)
-    to_csv = AFGrid.to_csv
 
-    def fail_on_db(self, path, db=False):
-        if db:
-            raise RuntimeError("disk went away mid-write")
-        to_csv(self, path, db=db)
+    def fail(path):
+        raise RuntimeError("disk went away mid-write")
 
-    monkeypatch.setattr(AFGrid, "to_csv", fail_on_db)
+    fail_on(monkeypatch, "_write_csv", "af_grid_db.csv", fail)
     assert main(SMALL_ARGS + ["--seed", "2", "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
     assert list(out.iterdir()) == []

@@ -1,11 +1,12 @@
-"""Byte-equality gate: the streaming writers against the first-written ones.
+"""Byte-equality gate: the CLI's streaming writers against the first-written ones.
 
-AFGrid.to_csv formats each of its N cyclic lag rows once and writes all
-2N - 1 lags from them; the first-written writer takes the tiled grid, one
-row per lag, which tiled_view builds.
-ConvergenceTrace.write_json streams json.dump of its to_json_dict into the
-file, so its peak memory stays a small multiple of the file's size.
-Both must write exactly the bytes of the straightforward writers kept in
+The CLI writes every CSV through one writer, a header and then a line per
+row. For the AF grid it formats each of the N cyclic lag rows once and
+writes all 2N - 1 lags from them; the first-written writer takes the tiled
+grid, one row per lag, which tiled_view builds. code.csv and trace.csv go
+through the same writer. Every JSON file streams json.dump into the file,
+so trace.json's peak memory stays a small multiple of the file's size.
+All must write exactly the bytes of the straightforward writers kept in
 tests/oracle.py. Both sides run here, so no stored hash is used.
 """
 
@@ -18,9 +19,14 @@ import pytest
 
 from afshape import CodeSequence, RegionSpec, SolverConfig
 from afshape.af_core import DB_FLOOR, AFGrid, af_grid
-from afshape.cli import run_and_export
+from afshape.cli import (_code_table, _grid_table, _trace_table, _write_csv, _write_json,
+                         run_and_export)
 from afshape.solver import ConvergenceTrace, init_random_code, run
-from oracle import af_grid_to_csv, trace_to_json
+from oracle import af_grid_to_csv, trace_to_csv, trace_to_json, write_code_csv
+
+# values whose text is easy to get wrong: signed zeros, the smallest subnormal,
+# a huge finite value, both infinities and NaN
+SPECIALS = [0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, 0.1]
 
 
 def tiled_view(grid):
@@ -33,13 +39,13 @@ def tiled_view(grid):
 
 def assert_same_csv(grid, tmp_path):
     for db in (False, True):
-        grid.to_csv(tmp_path / "new.csv", db=db)
+        _write_csv(tmp_path / "new.csv", *_grid_table(grid, db=db))
         af_grid_to_csv(tiled_view(grid), tmp_path / "ref.csv", db=db)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), db
 
 
 def assert_same_json(trace, tmp_path):
-    trace.write_json(tmp_path / "new.json")
+    _write_json(tmp_path / "new.json", trace.to_json_dict())
     trace_to_json(trace, tmp_path / "ref.json")
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
@@ -76,6 +82,42 @@ def test_exported_grid_csvs_match_reference(tmp_path):
     for name, db in (("af_grid.csv", False), ("af_grid_db.csv", True)):
         af_grid_to_csv(grid, tmp_path / "ref.csv", db=db)
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def assert_same_bytes(new_path, ref_path):
+    assert new_path.read_bytes() == ref_path.read_bytes()
+
+
+def test_hand_built_code_csv_matches_reference(tmp_path):
+    # the CLI reads only phases and values, so each can hold every special value
+    values = np.empty(len(SPECIALS), dtype=complex)
+    values.real = SPECIALS
+    values.imag = SPECIALS[::-1]
+    x = SimpleNamespace(phases=np.roll(SPECIALS, 3), values=values)
+    _write_csv(tmp_path / "new.csv", *_code_table(x))
+    write_code_csv(x, tmp_path / "ref.csv")
+    assert_same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
+
+
+def test_hand_built_trace_csv_matches_reference(tmp_path):
+    trace = ConvergenceTrace(outer_iters=list(range(len(SPECIALS))), c_values=SPECIALS,
+                             m2_values=SPECIALS[::-1])
+    _write_csv(tmp_path / "new.csv", *_trace_table(trace))
+    trace_to_csv(trace, tmp_path / "ref.csv")
+    assert_same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
+
+
+def test_exported_code_and_trace_csvs_match_reference(tmp_path):
+    # the CLI path: code.csv and trace.csv of a run, against the first-written
+    # writers on the same deterministic solve
+    config = SolverConfig(n=9, region=RegionSpec(delays=(1, 2), dopplers=(-1, 0, 1)),
+                          gamma1=6, gamma2=20, seed=3)
+    run_and_export(config, tmp_path / "out")
+    x, trace = run(config)
+    write_code_csv(x, tmp_path / "code.csv")
+    trace_to_csv(trace, tmp_path / "trace.csv")
+    for name in ("code.csv", "trace.csv"):
+        assert_same_bytes(tmp_path / "out" / name, tmp_path / name)
 
 
 def recorded_trace(inner_blocks, **attrs):
@@ -126,7 +168,7 @@ def test_trace_json_writer_streams(tmp_path):
     path = tmp_path / "trace.json"
     tracemalloc.start()
     try:
-        trace.write_json(path)
+        _write_json(path, trace.to_json_dict())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -167,6 +167,13 @@ def test_compare_rejects_mismatched_lengths():
         compare(init_random_code(8, 0), init_random_code(9, 0), REGION)
 
 
+def test_compare_rejects_an_after_grid_of_another_length():
+    # the global peak would be read from the other code's grid
+    x8 = init_random_code(8, 0)
+    with pytest.raises(ValueError, match="after_grid"):
+        compare(x8, x8, RegionSpec(1, 1), after_grid=af_grid(init_random_code(9, 0)))
+
+
 def test_compare_reports_positive_suppression_after_solve():
     config = SolverConfig(n=16, region=RegionSpec(delays=(1, 2), dopplers=(2, 3, -3)),
                           gamma1=40, gamma2=50, seed=1)

@@ -30,7 +30,7 @@ from afshape import (
     update_aux,
 )
 from afshape import solver
-from afshape.cli import main
+from afshape.cli import _trace_table, _write_csv, main
 from oracle import (af_sum_reference, build_bx, build_uqp_frobenius, pmli_inner_fixed_count,
                     pmli_inner_reference, quadratic_form, random_psd, update_aux_two_halves)
 
@@ -933,7 +933,7 @@ def test_run_objective_is_global_phase_invariant():
 def test_trace_csv_layout(tmp_path):
     _, trace = run(small_config(gamma1=4, epsilon=1e-15))
     path = tmp_path / "trace.csv"
-    trace.to_csv(path)
+    _write_csv(path, *_trace_table(trace))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "outer_iter,C,m2_objective"
     assert len(lines) == 1 + len(trace.outer_iters)
