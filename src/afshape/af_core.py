@@ -13,7 +13,8 @@ unitary Doppler diagonal D_p and the cyclic shift J_k. Every evaluation
 here goes through that convention, and the mainlobe value is r[0, 0] = N
 for any unimodular code. A region's (K, P) block of r and its energy C are
 one product and one vdot, the two the solver's u-step forms its C with, so
-every region evaluation has its bits; only af_grid takes FFTs.
+every region evaluation has its bits; only af_grid takes FFTs, of lag
+rows 0 .. N//2.
 
 Magnitudes are reported in dB as 20*log10(|r| / N), which pins the
 mainlobe at 0 dB; exact zeros are floored at -100 dB.
@@ -272,12 +273,27 @@ def to_db(magnitude, mainlobe: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class AFGrid:
-    """|r| over the N cyclic lag rows (row k is lags k and k - N) and N Doppler bins."""
+    """|r| over the N cyclic lag rows (row k is lags k and k - N) and N Doppler bins.
+
+    code is the code the grid was built from, a copy of it, so a caller
+    handed a grid can check it belongs to its code; a hand-built grid may
+    leave it out.
+    """
 
     n: int
     bins: np.ndarray
     magnitude: np.ndarray
     magnitude_db: np.ndarray
+    code: CodeSequence | None = None
+
+
+def _mirror_columns(n: int) -> np.ndarray:
+    """Entry j is the grid column of bin -b, b being column j's bin, read mod n.
+
+    That is the columns reversed for odd n; for even n, column 0 (bin -n/2,
+    its own negation mod n) stays and the rest are reversed.
+    """
+    return (2 * (n // 2) - np.arange(n)) % n
 
 
 def af_grid(x: CodeSequence) -> AFGrid:
@@ -287,12 +303,20 @@ def af_grid(x: CodeSequence) -> AFGrid:
     -(N-1)/2 .. (N-1)/2 for odd N; the CLI writes all 2N - 1 lags from the N rows.
     The mainlobe cell (row 0, bin 0) holds exactly N, so it reads exactly 0 dB.
     Row k is the DFT of conj(x_i) x[(i + k) mod N], r[k, p] up to a unit phase.
+
+    The periodic AF has the point symmetry |r(-k, p)| = |r(k, -p)|: row N - k
+    is row k read at bin -p. So only rows 0 .. N//2 are transformed, and row
+    N - k, for k = 1 .. ceil(N/2) - 1, is row k in _mirror_columns(n) order,
+    a copy bit for bit, as is its magnitude_db.
     """
     n = x.n
     values = x.values
     bins = np.arange(n) - n // 2
-    lag_rows = np.conj(values) * values[(np.arange(n) + np.arange(n)[:, None]) % n]
-    magnitude = np.abs(np.fft.fft(lag_rows, axis=1))[:, bins % n]
+    lag_rows = np.conj(values) * values[(np.arange(n) + np.arange(n // 2 + 1)[:, None]) % n]
+    magnitude = np.empty((n, n))
+    magnitude[:n // 2 + 1] = np.abs(np.fft.fft(lag_rows, axis=1))[:, bins % n]
+    mirrored = np.arange(1, (n + 1) // 2)
+    magnitude[n - mirrored] = magnitude[mirrored[:, None], _mirror_columns(n)]
     magnitude[0, n // 2] = n
     return AFGrid(n=n, bins=bins, magnitude=magnitude,
-                  magnitude_db=to_db(magnitude, float(n)))
+                  magnitude_db=to_db(magnitude, float(n)), code=CodeSequence(x.phases))

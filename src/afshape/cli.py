@@ -3,7 +3,8 @@
 A run writes six files into --out, and trace.json when --verbose:
 
     code.csv        index, phase_rad, re, im (17 significant digits)
-    af_grid.csv     |r| magnitude grid, lags -(N-1)..N-1 as rows, Doppler bins as columns
+    af_grid.csv     |r| magnitude grid, lags -(N-1)..N-1 as rows, Doppler bins as columns;
+                    by |r(-k, p)| = |r(k, -p)| row N - k is an exact copy of row k at bin -p
     af_grid_db.csv  the same grid in mainlobe-referenced dB
     trace.csv       outer_iter, C, m2_objective
     report.json     before/after region reports and the suppression figure
@@ -17,9 +18,11 @@ progress is logged and trace.json is written. run_and_export returns the
 manifest dict it writes. Both JSON files end with the same run record,
 ConvergenceTrace.run_record: why the solve stopped, the last relative
 change of C, the x-step's two per-solve constants (the loading level and
-its bound on Q's top eigenvalue) and the solve's total inner steps; the
-verbose log prints it too. final_c, report.json's after energy, equals
-trace.csv's last C bit for bit, as its before energy equals the first C.
+its bound on Q's top eigenvalue), the solve's total inner steps and its
+time to C0/10, C0/100 and C0/1000; the verbose log prints it too. Those
+milliseconds, like elapsed_ms, differ between reruns. final_c,
+report.json's after energy, equals trace.csv's last C bit for bit, as its
+before energy equals the first C.
 
 Settings come from flags, from a JSON config file (--config), or both;
 flags win over file values, and AFSHAPE_SEED supplies the seed when
@@ -42,10 +45,11 @@ import logging
 import os
 import sys
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
-from .af_core import AFGrid, CodeSequence, af_grid
+from .af_core import AFGrid, CodeSequence, _mirror_columns, af_grid
 from .metrics import compare
 from .solver import CONFIG_KEYS, ConvergenceTrace, SolverConfig, run
 
@@ -197,11 +201,25 @@ def _grid_table(grid: AFGrid, db: bool) -> tuple:
     """An AF grid CSV's header and lines: the lag, then one column per Doppler bin.
 
     Every lag -(N-1) .. N-1 gets its line. Lag k is row k mod N, so each of
-    the N rows is formatted once, its values at 17 significant digits.
+    the N rows becomes one text, its values at 17 significant digits. By the
+    point symmetry |r(-k, p)| = |r(k, -p)|, af_grid makes row N - k an exact
+    copy of row k at bin -p. A row past N//2 whose bytes are that copy takes
+    row k's value texts in mirrored bin order (_mirror_columns: reversed for
+    odd N, and for even N the first bin kept and the rest reversed). Every
+    other row, those of a hand-built grid included, is formatted from its
+    own values.
     """
     values = grid.magnitude_db if db else grid.magnitude
-    texts = [",%.17g" * grid.n % tuple(row) for row in values.tolist()]
-    lines = (f"{lag}{texts[lag % grid.n]}" for lag in range(1 - grid.n, grid.n))
+    n = grid.n
+    mirror = _mirror_columns(n)
+    pick = itemgetter(0, *(mirror + 1).tolist())  # the leading "" of a split text, then mirror
+    texts = []
+    for k, row in enumerate(values.tolist()):
+        if k > n // 2 and values[k].tobytes() == values[n - k, mirror].tobytes():
+            texts.append(",".join(pick(texts[n - k].split(","))))
+        else:
+            texts.append(",%.17g" * n % tuple(row))
+    lines = (f"{lag}{texts[lag % n]}" for lag in range(1 - n, n))
     return "lag," + ",".join(str(int(b)) for b in grid.bins), lines
 
 

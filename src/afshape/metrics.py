@@ -108,12 +108,14 @@ def compare(before: CodeSequence, after: CodeSequence, region: RegionSpec,
             after_grid: AFGrid | None = None) -> ComparisonReport:
     """Compare two codes of the same length over one region.
 
-    Pass after_grid when af_grid(after) is already at hand.
+    Pass after_grid when af_grid(after) is already at hand; a grid not
+    built from after, phases bit for bit, raises ValueError.
     """
     if before.n != after.n:
         raise ValueError(f"code lengths differ: {before.n} vs {after.n}")
-    if after_grid is not None and after_grid.n != after.n:
-        raise ValueError(f"after_grid is for length {after_grid.n}, after has length {after.n}")
+    if after_grid is not None and (after_grid.code is None
+                                   or after_grid.code.phases.tobytes() != after.phases.tobytes()):
+        raise ValueError("after_grid was not built from after: pass af_grid(after), or no grid")
     levels_before, report_before = _levels_and_report(before, region, None)
     levels_after, report_after = _levels_and_report(after, region, after_grid)
     bin_levels = [

@@ -172,6 +172,10 @@ class SolverConfig:
 CONFIG_KEYS = frozenset({f.name for f in fields(SolverConfig)} - {"region"} | {"k", "p"})
 
 
+# the run record states when C first fell to C0 / divisor, for each divisor
+QUALITY_DIVISORS = (10, 100, 1000)
+
+
 @dataclass(eq=False)
 class ConvergenceTrace:
     """Per-outer-iteration record of one solve.
@@ -188,9 +192,11 @@ class ConvergenceTrace:
     epsilon, "gamma1" at the outer-iteration cap), that last relative change
     of C, the two per-solve constants of the x-step, the loading level zeta
     and gamma_x, and inner_steps, the PMLI steps of the whole solve (the sum
-    of len(block) - 1). run_record is the one list of those fields;
-    trace.json and manifest.json both end with it, so a new field is added
-    there alone.
+    of len(block) - 1), and time_to_quality: for each target C0/10, C0/100
+    and C0/1000, the first row whose C reached it, as its outer_iter and
+    elapsed_ms, or None where no row did. run_record is the one list of
+    those fields; trace.json and manifest.json both end with it, so a new
+    field is added there alone.
     """
 
     outer_iters: list = field(default_factory=list)
@@ -226,7 +232,18 @@ class ConvergenceTrace:
         """The fields trace.json and manifest.json both end with, in file order."""
         return {"stop_reason": self.stop_reason, "final_rel_change": self.final_rel_change,
                 "zeta": self.zeta, "gamma_x": self.gamma_x,
-                "inner_steps": sum(len(block) - 1 for block in self.inner_objectives)}
+                "inner_steps": sum(len(block) - 1 for block in self.inner_objectives),
+                "time_to_quality": self._time_to_quality()}
+
+    def _time_to_quality(self) -> dict:
+        c_values = np.array(self.c_values, dtype=float)
+        reached = {}
+        for divisor in QUALITY_DIVISORS:
+            rows = np.flatnonzero(c_values <= c_values[0] / divisor) if c_values.size else ()
+            reached[f"C0/{divisor}"] = (
+                {"outer_iter": self.outer_iters[rows[0]], "elapsed_ms": self.elapsed_ms[rows[0]]}
+                if len(rows) else None)
+        return reached
 
 
 @dataclass(eq=False)

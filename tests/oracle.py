@@ -196,6 +196,26 @@ def build_uqp_frobenius(aux, loaded, out=None):
     return float(np.linalg.norm(bx)) * np.eye(bx.shape[0]) - bx
 
 
+def af_grid_reference(x):
+    """af_grid as first written with N rows: one FFT per cyclic lag row, all N.
+
+    The body is the N-row af_grid's, unchanged. The package transforms rows
+    0 .. N//2 and copies the rest as mirror images, so each of its cells must
+    stay within rounding of this one.
+    """
+    # imported here so the rest of the oracle loads without the package
+    from afshape.af_core import AFGrid, to_db
+
+    n = x.n
+    values = x.values
+    bins = np.arange(n) - n // 2
+    lag_rows = np.conj(values) * values[(np.arange(n) + np.arange(n)[:, None]) % n]
+    magnitude = np.abs(np.fft.fft(lag_rows, axis=1))[:, bins % n]
+    magnitude[0, n // 2] = n
+    return AFGrid(n=n, bins=bins, magnitude=magnitude,
+                  magnitude_db=to_db(magnitude, float(n)))
+
+
 def af_grid_to_csv(self, path, db=False):
     """The AF grid CSV as first written: every value of every row through f"{v:.17g}".
 

@@ -22,7 +22,7 @@ from afshape import (
     to_db,
 )
 from afshape.cli import _grid_table, _write_csv
-from oracle import af_sum_reference, quadratic_form
+from oracle import af_grid_reference, af_sum_reference, quadratic_form
 
 
 def all_pairs(n):
@@ -334,6 +334,52 @@ def test_af_grid_matches_eval_af():
         for k in range(-(n - 1), n):
             for j, p in enumerate(grid.bins):
                 assert abs(grid.magnitude[k % n, j] - abs(eval_af(x, k, int(p)))) < 1e-12
+
+
+def negated_bin_columns(bins, n):
+    """For each column, the column of its negated bin, read mod n off the grid's own axis."""
+    cyclic = list(np.asarray(bins) % n)
+    return [cyclic.index(-b % n) for b in bins]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=70).flatmap(
+    lambda n: st.lists(st.floats(min_value=0.0, max_value=2 * np.pi), min_size=n, max_size=n)))
+def test_af_grid_mirrors_half_its_rows_within_rounding_of_the_full_transform(phases):
+    # |r(-k, p)| = |r(k, -p)|: row N - k is row k at bin -p, bit for bit in both arrays
+    x = CodeSequence(phases=phases)
+    n = x.n
+    grid = af_grid(x)
+    columns = negated_bin_columns(grid.bins, n)
+    for k in range(1, (n + 1) // 2):
+        for values in (grid.magnitude, grid.magnitude_db):
+            assert values[n - k].tobytes() == values[k, columns].tobytes(), (n, k)
+    reference = af_grid_reference(x)
+    assert np.array_equal(grid.bins, reference.bins)
+    assert np.max(np.abs(grid.magnitude - reference.magnitude)) <= 1e-12 * n
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 31, 64, 128])
+def test_af_grid_transforms_half_the_lag_rows(n, monkeypatch):
+    fft = np.fft.fft
+    rows = []
+
+    def counted(a, *args, **kwargs):
+        rows.append(np.shape(a)[0])
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    af_grid(init_random_code(n, 1))
+    assert rows == [n // 2 + 1]
+
+
+def test_af_grid_records_a_copy_of_its_code():
+    x = init_random_code(9, 2)
+    grid = af_grid(x)
+    assert grid.code is not x
+    assert grid.code.phases.tobytes() == x.phases.tobytes()
+    x.phases[0] += 1.0
+    assert grid.code.phases.tobytes() != x.phases.tobytes()
 
 
 def test_af_grid_mainlobe_cell_is_zero_db():

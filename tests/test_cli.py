@@ -385,12 +385,39 @@ def test_run_and_export_verbose_adds_inner_trace(tmp_path):
     assert len(payload["inner_objectives"]) == payload["outer_iter"][-1]
     manifest_data = json.loads((out / "manifest.json").read_text())
     # both files end with the same run record: keys, values and order
-    record = ["stop_reason", "final_rel_change", "zeta", "gamma_x", "inner_steps"]
+    record = ["stop_reason", "final_rel_change", "zeta", "gamma_x", "inner_steps",
+              "time_to_quality"]
     assert list(payload)[-len(record):] == record
     assert list(manifest_data)[-len(record):] == record
     assert [payload[key] for key in record] == [manifest_data[key] for key in record]
     assert "stop_reason" not in (out / "trace.csv").read_text()
     assert payload["inner_steps"] == sum(len(block) - 1 for block in payload["inner_objectives"])
+
+
+def test_time_to_quality_agrees_with_trace_csv(tmp_path):
+    # ref31 seed 0: C falls to C0/10 at outer iteration 173 and to C0/100 at 920,
+    # and never to C0/1000 within the 1000-iteration cap
+    region = RegionSpec.for_length(31, "5..7", "-15..-13,11..14")
+    out = tmp_path / "out"
+    run_and_export(SolverConfig(n=31, region=region, gamma1=1000, gamma2=500, seed=0), out,
+                   verbose=True)
+    rows = [line.split(",") for line in (out / "trace.csv").read_text().splitlines()[1:]]
+    c_values = [float(c) for _, c, _ in rows]
+    payload = json.loads((out / "trace.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["time_to_quality"] == payload["time_to_quality"]
+    hits = payload["time_to_quality"]
+    assert list(hits) == ["C0/10", "C0/100", "C0/1000"]
+    assert [hit and hit["outer_iter"] for hit in hits.values()] == [173, 920, None]
+    for name, hit in hits.items():
+        goal = c_values[0] / int(name.split("/")[1])
+        reached = [i for i, c in enumerate(c_values) if c <= goal]
+        if hit is None:
+            assert reached == []
+            continue
+        row = reached[0]
+        assert hit["outer_iter"] == int(rows[row][0])
+        assert hit["elapsed_ms"] == payload["elapsed_ms"][row]
 
 
 def test_plain_run_holds_the_verbose_inner_blocks(tmp_path):

@@ -21,6 +21,7 @@ from afshape import (
     run,
 )
 from afshape import af_core, metrics
+from afshape.af_core import AFGrid
 from afshape.metrics import ComparisonReport, RegionReport
 
 REGION = RegionSpec(delays=(1, 3), dopplers=(-2, 2))
@@ -172,6 +173,27 @@ def test_compare_rejects_an_after_grid_of_another_length():
     x8 = init_random_code(8, 0)
     with pytest.raises(ValueError, match="after_grid"):
         compare(x8, x8, RegionSpec(1, 1), after_grid=af_grid(init_random_code(9, 0)))
+
+
+def test_compare_rejects_an_after_grid_of_another_code():
+    # a grid of the right length but another code gives another global peak:
+    # 0.0 dB here, where after's own grid reads -5.11 dB
+    x = init_random_code(8, 0)
+    y = CodeSequence(phases=np.zeros(8))
+    with pytest.raises(ValueError, match="after_grid"):
+        compare(x, x, RegionSpec(1, 1), after_grid=af_grid(y))
+    assert compare(x, x, RegionSpec(1, 1)).after.global_peak_sidelobe_db == pytest.approx(
+        -5.11, abs=0.005)
+
+
+def test_compare_rejects_a_hand_built_after_grid():
+    # a grid that records no code cannot be shown to belong to after
+    x = init_random_code(8, 0)
+    grid = af_grid(x)
+    bare = AFGrid(n=grid.n, bins=grid.bins, magnitude=grid.magnitude,
+                  magnitude_db=grid.magnitude_db)
+    with pytest.raises(ValueError, match="after_grid"):
+        compare(x, x, RegionSpec(1, 1), after_grid=bare)
 
 
 def test_compare_reports_positive_suppression_after_solve():

@@ -30,6 +30,7 @@ from afshape import (
     update_aux,
 )
 from afshape import solver
+from afshape.solver import ConvergenceTrace
 from afshape.cli import _trace_table, _write_csv, main
 from oracle import (af_sum_reference, build_bx, build_uqp_frobenius, pmli_inner_fixed_count,
                     pmli_inner_reference, quadratic_form, random_psd, update_aux_two_halves)
@@ -947,13 +948,32 @@ def test_trace_json_contains_timing_and_inner():
     payload = trace.to_json_dict()
     assert set(payload) == {"outer_iter", "C", "m2_objective", "elapsed_ms",
                             "inner_objectives", "stop_reason", "final_rel_change",
-                            "zeta", "gamma_x", "inner_steps"}
+                            "zeta", "gamma_x", "inner_steps", "time_to_quality"}
     assert payload["stop_reason"] == "gamma1"
     loaded = build_loaded_region(16, SMALL_REGION)
     assert (payload["zeta"], payload["gamma_x"]) == (loaded.zeta, loaded.gamma_x)
     assert payload["final_rel_change"] == trace.final_rel_change
     assert len(payload["elapsed_ms"]) == len(payload["C"])
     assert len(payload["inner_objectives"]) == payload["outer_iter"][-1]
+
+
+def test_time_to_quality_is_null_where_no_row_reaches_the_target():
+    # a target is reached at equality: 8 / 10 is 0.8
+    trace = ConvergenceTrace(outer_iters=[0, 1, 2, 3], c_values=[8.0, 0.8, 0.08, 0.5],
+                             elapsed_ms=[0.0, 1.5, 2.5, 3.5])
+    assert trace.run_record()["time_to_quality"] == {
+        "C0/10": {"outer_iter": 1, "elapsed_ms": 1.5},
+        "C0/100": {"outer_iter": 2, "elapsed_ms": 2.5},
+        "C0/1000": None,
+    }
+    assert ConvergenceTrace().run_record()["time_to_quality"] == {
+        "C0/10": None, "C0/100": None, "C0/1000": None}
+    # a C of exactly 0 meets every target, at the row it first appears
+    nulled = ConvergenceTrace(outer_iters=[0, 1], c_values=[0.0, 0.0], elapsed_ms=[0.0, 1.0])
+    assert all(hit == {"outer_iter": 0, "elapsed_ms": 0.0}
+               for hit in nulled.run_record()["time_to_quality"].values())
+    _, short = run(small_config(gamma1=2, epsilon=1e-15))
+    assert short.run_record()["time_to_quality"]["C0/1000"] is None
 
 
 def test_plain_run_records_its_inner_steps():
