@@ -64,13 +64,24 @@ class CodeSequence:
 
 def as_integer(value, name: str, least: int | None = None) -> int:
     """value as an int, or ValueError unless it is a finite integer, not a bool, >= least."""
-    # True would pass as 1; compared, not converted: int(inf) and float(10**400) overflow
-    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
-            or not abs(value) <= sys.float_info.max or int(value) != value):
-        raise ValueError(f"{name} must be a finite integer, got {value!r}")
+    if type(value) is not int:  # an exact int skips the checks: pmli_inner reads gamma2 per call
+        # True would pass as 1; compared, not converted: int(inf) and float(10**400) overflow
+        if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+                or not abs(value) <= sys.float_info.max or int(value) != value):
+            raise ValueError(f"{name} must be a finite integer, got {value!r}")
+        value = int(value)
     if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {int(value)}")
-    return int(value)
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def as_positive(value, name: str) -> float:
+    """value as a float, or ValueError unless it is a finite real > 0, not a bool."""
+    # bool is a Real; compared, not converted: float(10**400) raises OverflowError
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value <= sys.float_info.max):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
 
 
 def _int_indices(value, name: str, check=None) -> tuple:
@@ -142,8 +153,7 @@ class RegionSpec:
         cyclic cell of r, so indices that agree mod n are rejected: the
         region energy would count that cell twice.
         """
-        if n < 2:
-            raise ValueError(f"code length must be >= 2, got {n}")
+        n = _length(n)
         for k in self.delays:
             _check_lag(k, n)
         for p in self.dopplers:
@@ -165,29 +175,46 @@ class RegionSpec:
         return len(self.delays) * len(self.dopplers)
 
 
-def _check_lag(k: int, n: int) -> None:
+def _check_lag(k: int, n: int) -> int:
     if abs(k) > n - 1:
         raise ValueError(f"delay lag {k} outside [-(n-1), n-1] for n={n}")
+    return k
 
 
-def _check_doppler(p: int, n: int) -> None:
+def _check_doppler(p: int, n: int) -> int:
     # bins run from -ceil(n/2) to ceil(n/2) - 1
     half = (n + 1) // 2
     if not -half <= p <= half - 1:
         raise ValueError(f"Doppler bin {p} outside [{-half}, {half - 1}] for n={n}")
+    return p
+
+
+# every scalar entry point reads its code length, lag and Doppler bin through these;
+# a RegionSpec's indices are ints already, so validate_for checks only their range
+def _length(n) -> int:
+    return as_integer(n, "code length", 2)
+
+
+def _lag(k, n: int) -> int:
+    return _check_lag(as_integer(k, "delay lag"), n)
+
+
+def _bin(p, n: int) -> int:
+    return _check_doppler(as_integer(p, "Doppler bin"), n)
+
+
+def _doppler_rows(p, n: int) -> np.ndarray:
+    # a (P, 1) integer array p gives the P diagonals as rows, each bit for bit its bin's
+    return np.exp(-2j * np.pi * p * np.arange(1, n + 1) / n)
 
 
 def doppler_phase_vector(p: int, n: int) -> np.ndarray:
     """Diagonal of D_p: entry n is exp(-2j pi n p / N) with 1-based n.
 
-    The last entry is exp(-2j pi p) = 1 for every integer p, and any p is
-    reduced mod N implicitly by the exponential. A (P, 1) integer array p
-    gives the P diagonals as rows, each bit for bit the one its bin gives.
+    The last entry is exp(-2j pi p) = 1 for every integer p, and any
+    integer p is reduced mod N implicitly by the exponential.
     """
-    if n < 2:
-        raise ValueError(f"code length must be >= 2, got {n}")
-    idx = np.arange(1, n + 1)
-    return np.exp(-2j * np.pi * p * idx / n)
+    return _doppler_rows(as_integer(p, "Doppler bin"), _length(n))
 
 
 def build_doppler_diag(p: int, n: int) -> np.ndarray:
@@ -201,9 +228,8 @@ def build_shift(k: int, n: int) -> np.ndarray:
     For k >= 0 this is the block permutation [[0, I_{n-k}], [I_k, 0]];
     negative lags give the transpose (inverse) of the positive shift.
     """
-    if n < 2:
-        raise ValueError(f"code length must be >= 2, got {n}")
-    _check_lag(k, n)
+    n = _length(n)
+    k = _lag(k, n)
     mat = np.zeros((n, n))
     rows = np.arange(n)
     mat[rows, (rows + k) % n] = 1.0
@@ -221,24 +247,22 @@ class AFKernel:
 
 def build_kernel(k: int, p: int, n: int) -> AFKernel:
     """Assemble the kernel A = D_p @ J_k (unitary as a product of unitaries)."""
-    _check_doppler(p, n)
-    matrix = doppler_phase_vector(p, n)[:, None] * build_shift(k, n)
+    n = _length(n)
+    k, p = _lag(k, n), _bin(p, n)
+    matrix = _doppler_rows(p, n)[:, None] * build_shift(k, n)
     return AFKernel(k=k, p=p, matrix=matrix)
 
 
 def eval_af(x: CodeSequence, k: int, p: int) -> complex:
     """One ambiguity-function sample r[k, p] = x^H D_p J_k x, a one-cell region block."""
-    k = as_integer(k, "delay lag")
-    p = as_integer(p, "Doppler bin")
-    _check_lag(k, x.n)
-    _check_doppler(p, x.n)
+    k, p = _lag(k, x.n), _bin(p, x.n)
     return complex(_region_product(x.values, *_region_tables(x.n, [k], [p]))[1][0, 0])
 
 
 def _region_tables(n: int, delays, dopplers) -> tuple:
     """(K, N) shift_idx, row a holding (i + delays[a]) mod N, and the (P, N) rows of D_p."""
     shift_idx = (np.arange(n) + np.array(delays)[:, None]) % n
-    return shift_idx, doppler_phase_vector(np.array(dopplers)[:, None], n)
+    return shift_idx, _doppler_rows(np.array(dopplers)[:, None], n)
 
 
 def _region_product(values: np.ndarray, shift_idx: np.ndarray, doppler_rows: np.ndarray) -> tuple:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .af_core import AFKernel, RegionSpec, _region_tables
+from .af_core import AFKernel, RegionSpec, _length, _region_tables, as_positive
 
 
 class LoadingError(RuntimeError):
@@ -191,6 +191,29 @@ def _collatz_wielandt_bound(shift_idx: np.ndarray, back_idx: np.ndarray,
     return float((h / v).max() - sigma)
 
 
+def loading_level(delta, n: int, cells: int) -> float:
+    """The loading level zeta = 1 + delta, or ValueError unless delta is a usable margin.
+
+    delta must be a finite real > 0 and not a bool, with 1 + delta > 1 in
+    float64, or zeta = 1 would load nothing. Every value of a solve on n
+    entries and cells region cells must also stay finite: with zeta =
+    1 + delta, ||s|| <= 2 |R| sqrt(1 + zeta), gamma_x <= |R| (2 zeta +
+    sqrt(2)) and gamma_x I - Q <= 2 sqrt(2) |R| I, so the largest, the UQP
+    objective, is <= |R| (4 zeta N + (2 + 2 sqrt(2)) N + 2 zeta + 2) <=
+    8 |R| zeta (N + 1) for delta >= 0.21; D [x; 1] and M2's 2 |R| zeta N
+    stay below it.
+    """
+    delta = as_positive(delta, "delta")
+    zeta = 1.0 + delta
+    if zeta == 1.0:
+        raise ValueError(f"delta={delta!r} is too small: 1 + delta rounds to 1, "
+                         f"and loading needs 1 + delta > 1")
+    if not 8 * cells * zeta * (n + 1) <= sys.float_info.max:
+        raise ValueError(f"delta={delta!r} overflows 8 |R| (1 + delta) (N + 1) for "
+                         f"|R|={cells}, n={n}")
+    return zeta
+
+
 def build_loaded_region(n: int, region: RegionSpec, delta: float = 0.01) -> LoadedRegion:
     """Lag indices, Doppler rows, loaded-matrix sum Q and gamma_x of a region.
 
@@ -206,12 +229,11 @@ def build_loaded_region(n: int, region: RegionSpec, delta: float = 0.01) -> Load
     S = (1 + j) A / 2 and ||S|| = 1/sqrt(2), plus 2 zeta I), and the smaller
     of the two is raised by a rounding margin of 4 N eps: both are exact on
     a single cell, where the computed lambda_max(Q) can sit an ulp above them.
+    delta passes loading_level's checks, which give zeta = 1 + delta.
     """
-    delta = float(delta)
-    if not (math.isfinite(delta) and 1.0 + delta > 1.0):  # > 0, and not lost in 1 + delta
-        raise ValueError(f"loading margin delta must be finite with 1 + delta > 1, got {delta}")
+    n = _length(n)
     region.validate_for(n)
-    zeta = 1.0 + delta
+    zeta = loading_level(delta, n, region.size)
     rows = np.arange(n)
     shift_idx, doppler_rows = _region_tables(n, region.delays, region.dopplers)
     back_idx = (rows - np.array(region.delays)[:, None]) % n

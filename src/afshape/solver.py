@@ -98,7 +98,6 @@ solve is fully deterministic.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -107,9 +106,9 @@ import numpy as np
 
 # eval_objective is not called here; it stays importable from this module
 # because perfbench/tracer.py wraps afshape.solver.eval_objective
-from .af_core import CodeSequence, RegionSpec, as_integer, eval_objective  # noqa: F401
-from .af_core import _energy, _region_product
-from .reformulation import LoadedRegion, build_loaded_region
+from .af_core import CodeSequence, RegionSpec, as_integer, as_positive, eval_objective  # noqa: F401
+from .af_core import _energy, _length, _region_product
+from .reformulation import LoadedRegion, build_loaded_region, loading_level
 
 _EPS = sys.float_info.epsilon  # float64's machine epsilon
 
@@ -130,23 +129,10 @@ class SolverConfig:
         # the integer settings and the least value each may take
         for name, least in (("n", 2), ("gamma1", 1), ("gamma2", 1), ("seed", 0)):
             setattr(self, name, as_integer(getattr(self, name), name, least))
-        for name in ("epsilon", "delta"):
-            value = getattr(self, name)
-            # bool is a Real; compared, not converted: float(10**400) raises OverflowError
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0 < value <= sys.float_info.max):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-            setattr(self, name, float(value))
-        if 1.0 + self.delta == 1.0:  # the loading level would round to 1, loading nothing
-            raise ValueError(f"delta={self.delta!r} is too small: 1 + delta rounds to 1")
+        self.epsilon = as_positive(self.epsilon, "epsilon")
         self.region.validate_for(self.n)
-        # every value of the solve must stay finite: with zeta = 1 + delta, ||s|| <= 2 |R|
-        # sqrt(1 + zeta), gamma_x <= |R| (2 zeta + sqrt(2)) and gamma_x I - Q <= 2 sqrt(2) |R| I,
-        # so the largest, the UQP objective, is <= |R| (4 zeta N + (2 + 2 sqrt(2)) N + 2 zeta + 2)
-        # <= 8 |R| zeta (N + 1) for delta >= 0.21; D [x; 1] and M2's 2 |R| zeta N stay below it
-        if not 8 * self.region.size * (1.0 + self.delta) * (self.n + 1) <= sys.float_info.max:
-            raise ValueError(f"delta={self.delta!r} overflows 8 |R| (1 + delta) (N + 1) for "
-                             f"|R|={self.region.size}, n={self.n}")
+        loading_level(self.delta, self.n, self.region.size)
+        self.delta = float(self.delta)
 
     def to_json_dict(self) -> dict:
         """The settings in declaration order, the region written as k and p after n."""
@@ -258,8 +244,8 @@ class SolverState:
 
 def init_random_code(n: int, seed: int) -> CodeSequence:
     """Random unimodular code: phases i.i.d. uniform on [0, 2 pi)."""
-    rng = np.random.default_rng(seed)
-    return CodeSequence(phases=rng.uniform(0.0, 2.0 * np.pi, n))
+    rng = np.random.default_rng(as_integer(seed, "seed", 0))
+    return CodeSequence(phases=rng.uniform(0.0, 2.0 * np.pi, _length(n)))
 
 
 def update_aux(x: CodeSequence, loaded: LoadedRegion) -> tuple[np.ndarray, float, float]:
@@ -374,24 +360,24 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
     gamma2 steps would. The test is on the bytes, because == takes -0.0 for
     0.0 and never matches NaN.
 
+    The loop scores every iterate it visits, f = Re(vdot(xbar, D xbar)) from
+    the D xbar it forms anyway; its last pass, past gamma2 steps, only scores.
     floor is an absolute objective gain below which the caller has no use
     for further steps (run passes epsilon * M2). The smallest rise float64
-    can show in the objective f is about eps |f|, with eps the machine
-    epsilon, so when eps |f_0| <= floor at the start code the loop also
-    evaluates f = Re(vdot(xbar, D xbar)) at every iterate, from the D xbar
-    it forms anyway, and returns the first iterate whose f does not exceed
-    its predecessor's. Past that step PMLI only moves the phases by
-    rounding until they repeat. With the default floor = 0, or when
-    eps |f_0| > floor, a rise could still matter to the caller, and the loop
-    runs to the exact fixed point: that keeps deep nulls reachable, where
-    M2 has fallen so far that only the exact loop still lowers it.
+    can show in f is about eps |f|, with eps the machine epsilon, so when
+    eps |f_0| <= floor at the start code the loop returns the first iterate
+    whose f does not exceed its predecessor's. Past that step PMLI only
+    moves the phases by rounding until they repeat. With the default
+    floor = 0, or when eps |f_0| > floor, a rise could still matter to the
+    caller, and the loop runs to the exact fixed point: that keeps deep
+    nulls reachable, where M2 has fallen so far that only the exact loop
+    still lowers it.
 
-    With track_objective=True the return value is (code, objectives) where
-    objectives holds the UQP objective of every iterate visited, from
-    x_start to the returned code: steps + 1 values for the steps taken. A
-    stop at a fixed point ends the array with two equal values, and every
-    later value of a gamma2-step run would repeat them; an objective stop
-    ends it with the value that did not rise.
+    track_objective only picks the return value: the code alone, or
+    (code, objectives) with every f from x_start to the returned code,
+    steps + 1 values. A fixed-point stop ends them with two equal values,
+    which every later step would repeat; an objective stop ends them with
+    the value that did not rise.
 
     At small N numpy's per-call overhead outweighs the arithmetic, so the
     loop allocates nothing per step: the lifted vector, D [x; 1] and two
@@ -405,8 +391,7 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
     if d_mat.shape != (n + 1, n + 1):
         raise ValueError(f"UQP matrix must be {(n + 1, n + 1)} for a length-{n} code, "
                          f"got {d_mat.shape}")
-    if gamma2 < 1:
-        raise ValueError(f"gamma2 must be >= 1, got {gamma2}")
+    gamma2 = as_integer(gamma2, "gamma2", 1)
     phases = x_start.phases.copy()
     new_phases = np.empty(n)
     xbar = np.empty(n + 1, dtype=complex)
@@ -420,37 +405,26 @@ def pmli_inner(d_mat: np.ndarray, x_start: CodeSequence, gamma2: int,
     objectives = []
     value = None
     watch = floor > 0.0  # the start code's objective decides it in the first step
-    for step in range(gamma2):
+    for step in range(gamma2 + 1):
         np.cos(phases, out=cos_part)
         np.sin(phases, out=sin_part)
         np.dot(d_mat, xbar, out=y)
-        if watch or track_objective:
-            last, value = value, float(np.vdot(xbar, y).real)
-            if track_objective:
-                objectives.append(value)
-            if step == 0:
-                watch = watch and _EPS * abs(value) <= floor
-            elif watch and not value > last:
-                break
+        last, value = value, float(np.vdot(xbar, y).real)
+        objectives.append(value)
+        if step == 0:
+            watch = watch and _EPS * abs(value) <= floor
+        elif step == gamma2 or (watch and not value > last):
+            break
         np.arctan2(head_im, head_re, out=new_phases)  # np.angle(head), bit for bit
         if np.count_nonzero(head) < n:
             zero = head == 0
             new_phases[zero] = phases[zero]
         if new_phases.tobytes() == phases.tobytes():
-            if track_objective:
-                objectives.append(value)  # the fixed point's objective, from this step
+            objectives.append(value)  # the fixed point's objective, from this step
             break
         phases, new_phases = new_phases, phases
-    else:
-        if track_objective:
-            np.cos(phases, out=cos_part)
-            np.sin(phases, out=sin_part)
-            np.dot(d_mat, xbar, out=y)
-            objectives.append(float(np.vdot(xbar, y).real))
     result = CodeSequence(phases=phases)
-    if track_objective:
-        return result, np.asarray(objectives)
-    return result
+    return (result, np.asarray(objectives)) if track_objective else result
 
 
 def mm_step(x: CodeSequence, s: np.ndarray, loaded: LoadedRegion, d_mat: np.ndarray,

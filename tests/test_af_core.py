@@ -15,7 +15,9 @@ from afshape import (
     af_grid,
     build_doppler_diag,
     build_kernel,
+    build_loaded_region,
     build_shift,
+    doppler_phase_vector,
     eval_af,
     eval_objective,
     init_random_code,
@@ -212,6 +214,42 @@ def test_kernels_are_unitary():
 def test_build_kernel_rejects_bad_doppler():
     with pytest.raises(ValueError):
         build_kernel(1, 5, 8)
+
+
+# every scalar entry point reads its length, lag, bin and seed by as_integer
+NOT_INTEGER_CALLS = {
+    "kernel-half-lag": lambda: build_kernel(1.5, 0, 8),
+    "kernel-half-bin": lambda: build_kernel(1, 0.5, 8),
+    "kernel-bool-lag": lambda: build_kernel(True, 1, 8),
+    "kernel-half-length": lambda: build_kernel(1, 1, 8.5),
+    "shift-half-lag": lambda: build_shift(2.5, 8),
+    "shift-text-length": lambda: build_shift(2, "8"),
+    "doppler-half-length": lambda: doppler_phase_vector(1, 8.5),
+    "doppler-bool-bin": lambda: doppler_phase_vector(True, 8),
+    "validate-half-length": lambda: RegionSpec(1, 1).validate_for(8.5),
+    "loaded-half-length": lambda: build_loaded_region(8.5, RegionSpec(1, 1)),
+    "random-half-length": lambda: init_random_code(8.5, 0),
+    "random-half-seed": lambda: init_random_code(8, 0.5),
+    "random-negative-seed": lambda: init_random_code(8, -1),
+}
+
+
+@pytest.mark.parametrize("call", NOT_INTEGER_CALLS.values(), ids=NOT_INTEGER_CALLS.keys())
+def test_scalar_entry_points_refuse_non_integers(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_scalar_entry_points_read_integral_floats_as_integers():
+    # 2.0 reads as 2, as in a RegionSpec or a SolverConfig
+    np.testing.assert_array_equal(build_shift(2.0, 8.0), build_shift(2, 8))
+    kernel = build_kernel(np.int64(2), -1.0, 8)
+    assert (type(kernel.k), type(kernel.p)) == (int, int)
+    np.testing.assert_array_equal(kernel.matrix, build_kernel(2, -1, 8).matrix)
+    np.testing.assert_array_equal(doppler_phase_vector(3.0, 8.0), doppler_phase_vector(3, 8))
+    region = RegionSpec(1, 1)
+    assert build_loaded_region(8.0, region).gamma_x == build_loaded_region(8, region).gamma_x
+    assert init_random_code(8.0, 3.0).phases.tobytes() == init_random_code(8, 3).phases.tobytes()
 
 
 # ------------------------------------------------------------ eval_af

@@ -1,10 +1,11 @@
 """Byte-equality gate: the CLI's streaming writers against the first-written ones.
 
 The CLI writes every CSV through one writer, a header and then a line per
-row. For the AF grid it formats each of the N cyclic lag rows once and
-writes all 2N - 1 lags from them; the first-written writer takes the tiled
-grid, one row per lag, which tiled_view builds. code.csv and trace.csv go
-through the same writer. Every JSON file streams json.dump into the file,
+row. For the AF grid it formats rows 0 .. N//2 of the N cyclic lag rows,
+writes each row past N//2 that mirrors one of them from its partner's
+texts, and writes all 2N - 1 lags from the N rows; the first-written
+writer takes the tiled grid, one row per lag, which tiled_view builds.
+code.csv and trace.csv go through the same writer. Every JSON file streams json.dump into the file,
 so trace.json's peak memory stays a small multiple of the file's size.
 All must write exactly the bytes of the straightforward writers kept in
 tests/oracle.py. Both sides run here, so no stored hash is used.

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -123,6 +124,16 @@ def test_build_loaded_region_rejects_bad_delta():
     for delta in (1e-17, 1e-16):
         with pytest.raises(ValueError, match="1 \\+ delta > 1"):
             build_loaded_region(2, RegionSpec(1, 0), delta=delta)
+
+
+def test_build_loaded_region_takes_solver_config_delta_rule():
+    # the one loading-margin rule: a bool or a text is no margin, and a delta that
+    # overflows 8 |R| (1 + delta) (N + 1) is refused before the solve overflows
+    edge = sys.float_info.max / (8 * REFERENCE_REGION.size * 32)
+    for delta in (True, "0.01", 3.3e305, 1.001 * edge):
+        with pytest.raises(ValueError):
+            build_loaded_region(31, REFERENCE_REGION, delta=delta)
+    assert build_loaded_region(31, REFERENCE_REGION, delta=0.999 * edge).zeta == 1 + 0.999 * edge
 
 
 # --------------------------------------------------------- load_and_root

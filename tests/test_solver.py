@@ -572,6 +572,20 @@ def test_pmli_objective_matches_direct_evaluation():
     final = np.concatenate([result.values, [1.0]])
     assert objectives[0] == pytest.approx(quadratic_form(d_mat, start).real, rel=1e-12)
     assert objectives[-1] == pytest.approx(quadratic_form(d_mat, final).real, rel=1e-12)
+    # the gamma2 cap scores the last iterate with the bits of the oracle's loops
+    ref_result, ref_objectives = pmli_inner_fixed_count(d_mat, x, 3, track_objective=True)
+    assert objectives.tobytes() == ref_objectives.tobytes()
+    assert result.phases.tobytes() == ref_result.phases.tobytes()
+    floor = np.finfo(float).eps * abs(objectives[0])
+    result, objectives = pmli_inner(d_mat, x, 3, track_objective=True, floor=floor)
+    ref_result, ref_objectives = pmli_inner_reference(d_mat, x, 3, floor=floor,
+                                                      track_objective=True)
+    assert objectives.tobytes() == ref_objectives.tobytes()
+    assert result.phases.tobytes() == ref_result.phases.tobytes()
+    # the untracked call returns the same code
+    for floor in (0.0, floor):
+        assert (pmli_inner(d_mat, x, 3, floor=floor).phases.tobytes()
+                == pmli_inner_reference(d_mat, x, 3, floor=floor).phases.tobytes())
 
 
 @pytest.fixture
@@ -707,6 +721,12 @@ def test_pmli_validates_inputs():
         pmli_inner(np.eye(5), x, gamma2=3)  # must be (n+1) x (n+1)
     with pytest.raises(ValueError):
         pmli_inner(np.eye(6), x, gamma2=0)
+    # gamma2 is read by as_integer, the rule of SolverConfig's integer settings
+    for bad in (True, 2.5, "3", np.nan, np.inf, None):
+        with pytest.raises(ValueError, match="gamma2"):
+            pmli_inner(np.eye(6), x, gamma2=bad)
+    assert (pmli_inner(np.eye(6), x, gamma2=2.0).phases.tobytes()
+            == pmli_inner(np.eye(6), x, gamma2=2).phases.tobytes())
 
 
 # ------------------------------------------------------------------ run
